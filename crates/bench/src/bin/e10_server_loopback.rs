@@ -18,6 +18,13 @@
 //! ```
 //!
 //! (The human-readable table goes to stderr.)
+//!
+//! The loopback/in-process ratio it records is a single shot: one seed,
+//! one 30-round run per world. The repository benchmark's `loopback-e10`
+//! workload (the same spec, repeated fresh sessions over many seeds, see
+//! `BENCHMARK.json` and `benchmark/BASELINE.md`) supersedes it as the
+//! measure of serving overhead; this binary remains the bit-identity
+//! check and the wire-traffic record.
 
 use krum_attacks::AttackSpec;
 use krum_bench::Table;

@@ -56,6 +56,7 @@
 //! and **halt** after a scripted round (the in-process face of `kill -9`,
 //! driven by the chaos harness) — a resumed job continues bit-identically.
 
+use std::cell::OnceCell;
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -69,7 +70,7 @@ use krum_scenario::{
     CrashPolicy, ExecutionSpec, InitSpec, RemoteTimeouts, ScenarioReport, ScenarioSpec,
 };
 use krum_tensor::Vector;
-use krum_wire::{write_frame, CarryOver, Frame, SelectedWorker, WireError};
+use krum_wire::{write_encoded, write_frame, CarryOver, Frame, SelectedWorker, WireError};
 
 use crate::checkpoint::{self, CheckpointConfig, ResumeState};
 use crate::error::ServerError;
@@ -567,16 +568,17 @@ fn drive_job(
     // Final frames: the trained model, then the goodbye (sent by the
     // caller's shutdown pass). A slot dead under a crash policy hears
     // neither — if it rejoins now, the server tells it the job is over.
+    let aggregate = Frame::Aggregate {
+        job: id,
+        round: spec.rounds as u64,
+        params: params.as_slice().to_vec(),
+    }
+    .encode();
     for c in 0..conns.len() {
         if !alive[c] {
             continue;
         }
-        let aggregate = Frame::Aggregate {
-            job: id,
-            round: spec.rounds as u64,
-            params: params.as_slice().to_vec(),
-        };
-        match write_frame(&mut conns[c].stream, &aggregate) {
+        match write_encoded(&mut conns[c].stream, &aggregate) {
             Ok(_) => {}
             Err(_) if policy.on_crash.is_some() => {}
             Err(e) => return Err(e.into()),
@@ -631,28 +633,37 @@ fn serve_round(
     // Broadcast x_t to the live honest workers (the adversary hears later,
     // with its observations; a dead slot hears the round when it rejoins).
     // With a codec, v2 connections hear the compressed framing; v1
-    // connections hear the same (already quantized) params raw.
-    let broadcast = Frame::Broadcast {
-        job: id,
-        round: round as u64,
-        params: params.as_slice().to_vec(),
-        observed: Vec::new(),
-    };
-    let broadcast_c = codec.map(|c| Frame::BroadcastC {
-        job: id,
-        round: round as u64,
-        params: c.encode_params(params.as_slice()),
-        observed: Vec::new(),
+    // connections hear the same (already quantized) params raw. Each
+    // dialect is encoded (and checksummed) once and the same bytes go to
+    // every connection speaking it, rejoin replays included; the raw
+    // framing is encoded only if some peer needs it.
+    let broadcast_c = codec.map(|c| {
+        Frame::BroadcastC {
+            job: id,
+            round: round as u64,
+            params: c.encode_params(params.as_slice()),
+            observed: Vec::new(),
+        }
+        .encode()
     });
+    let broadcast = OnceCell::new();
     let broadcast_for = |version: u16| match &broadcast_c {
-        Some(frame) if version >= 2 => frame,
-        _ => &broadcast,
+        Some(bytes) if version >= 2 => bytes,
+        _ => broadcast.get_or_init(|| {
+            Frame::Broadcast {
+                job: id,
+                round: round as u64,
+                params: params.as_slice().to_vec(),
+                observed: Vec::new(),
+            }
+            .encode()
+        }),
     };
     for w in 0..honest {
         if !alive[w] {
             continue;
         }
-        match write_frame(&mut conns[w].stream, broadcast_for(conns[w].version)) {
+        match write_encoded(&mut conns[w].stream, broadcast_for(conns[w].version)) {
             Ok(b) => {
                 wire_bytes += b as u64;
                 raw_bytes += raw_broadcast_len(dim, 0);
@@ -847,7 +858,7 @@ fn serve_round(
                         // into the void) or fast-forwards its RNG stream and
                         // computes it — both bit-identical to the
                         // uninterrupted proposal.
-                        match write_frame(&mut conns[w].stream, broadcast_for(version)) {
+                        match write_encoded(&mut conns[w].stream, broadcast_for(version)) {
                             Ok(b) => {
                                 wire_bytes += b as u64;
                                 raw_bytes += raw_broadcast_len(dim, 0);
@@ -1199,12 +1210,13 @@ fn serve_round(
         round: round as u64,
         quorum: quorum_size as u32,
         aggregate_norm: record.aggregate_norm,
-    };
+    }
+    .encode();
     for c in 0..conns.len() {
         if !alive[c] {
             continue;
         }
-        match write_frame(&mut conns[c].stream, &closed) {
+        match write_encoded(&mut conns[c].stream, &closed) {
             Ok(b) => {
                 wire_bytes += b as u64;
                 raw_bytes += b as u64;

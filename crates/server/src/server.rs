@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 
 use krum_scenario::{ScenarioReport, ScenarioSpec};
 use krum_wire::{
-    read_frame, write_frame, Frame, WireError, MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    read_frame, read_frame_into, write_frame, Frame, WireError, MAX_FRAME_BYTES,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 
 use crate::checkpoint::{self, CheckpointConfig};
@@ -514,8 +514,10 @@ impl std::fmt::Debug for Server {
 /// Reads frames off one worker socket into the job's event channel until
 /// the socket dies or the job hangs up its receiver.
 fn reader_loop(mut stream: TcpStream, worker: u32, sender: Sender<ConnEvent>) {
+    // One frame-sized buffer for the connection's lifetime.
+    let mut buf = Vec::new();
     loop {
-        match read_frame(&mut stream) {
+        match read_frame_into(&mut stream, &mut buf) {
             Ok((frame, bytes)) => {
                 if sender
                     .send(ConnEvent::Frame {

@@ -25,9 +25,9 @@
 //! backoff, reconnects, and handshakes with a [`Frame::Rejoin`] naming its
 //! old job and slot. Determinism survives the churn two ways:
 //!
-//! * **answered-frame cache** — the frames answering the latest broadcast
-//!   are cached before the first write, so a re-broadcast after a rejoin
-//!   resends bit-identical answers (the RNG is *not* re-consumed);
+//! * **answered-frame cache** — the encoded frames answering the latest
+//!   broadcast are cached before the first write, so a re-broadcast after
+//!   a rejoin resends the very same bytes (the RNG is *not* re-consumed);
 //! * **fast-forward** — a worker that skipped rounds (the server proceeded
 //!   at quorum while it was gone, or it restarted from scratch) replays the
 //!   missed estimator/attack calls against dummy inputs before answering.
@@ -44,7 +44,7 @@ use krum_dist::{stream_rng, ATTACK_STREAM};
 use krum_models::GradientEstimator;
 use krum_scenario::ScenarioSpec;
 use krum_tensor::Vector;
-use krum_wire::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
+use krum_wire::{read_frame, read_frame_into, write_encoded, write_frame, Frame, PROTOCOL_VERSION};
 use rand_chacha::ChaCha8Rng;
 
 use crate::error::ServerError;
@@ -294,9 +294,9 @@ pub struct WorkerSession {
     codec: Option<Box<dyn GradientCodec>>,
     /// Estimator/attack calls made so far — the RNG cursor in rounds.
     calls_made: u64,
-    /// The frames answering the latest broadcast, cached *before* the
-    /// first write so a post-rejoin re-broadcast resends identical bits.
-    answered: Option<(u64, Vec<Frame>)>,
+    /// The encoded frames answering the latest broadcast, cached *before*
+    /// the first write so a post-rejoin re-broadcast resends the same bytes.
+    answered: Option<(u64, Vec<u8>)>,
     rounds: u64,
     reconnects: u64,
     wire_bytes: u64,
@@ -324,8 +324,10 @@ impl WorkerSession {
     pub fn serve(mut self) -> Result<WorkerSummary, ServerError> {
         let mut final_params: Option<Vector> = None;
         let shutdown_reason;
+        // One frame-sized buffer for the session's lifetime.
+        let mut buf = Vec::new();
         loop {
-            let frame = match read_frame(&mut self.stream) {
+            let frame = match read_frame_into(&mut self.stream, &mut buf) {
                 Ok((frame, bytes)) => {
                     self.wire_bytes += bytes as u64;
                     frame
@@ -496,12 +498,9 @@ impl WorkerSession {
         params: Vec<f64>,
         observed: Vec<Vec<f64>>,
     ) -> Result<(), ServerError> {
-        if let Some((answered_round, frames)) = &self.answered {
+        if let Some((answered_round, bytes)) = &self.answered {
             if *answered_round == round {
-                let frames = frames.clone();
-                for frame in &frames {
-                    self.wire_bytes += write_frame(&mut self.stream, frame)? as u64;
-                }
+                self.wire_bytes += write_encoded(&mut self.stream, bytes)? as u64;
                 return Ok(());
             }
         }
@@ -521,13 +520,17 @@ impl WorkerSession {
                 self.calls_made
             )));
         }
+        // Every proposal frame of the answer (f of them for the adversary)
+        // goes out in one buffer and one write.
         let frames = self.compute_frames(round, &params, observed)?;
-        self.answered = Some((round, frames.clone()));
+        let mut bytes = Vec::with_capacity(frames.iter().map(Frame::encoded_len).sum());
+        for frame in &frames {
+            frame.encode_into(&mut bytes);
+        }
+        let (_, bytes) = self.answered.insert((round, bytes));
         self.calls_made += 1;
         self.rounds += 1;
-        for frame in &frames {
-            self.wire_bytes += write_frame(&mut self.stream, frame)? as u64;
-        }
+        self.wire_bytes += write_encoded(&mut self.stream, bytes)? as u64;
         Ok(())
     }
 

@@ -302,3 +302,43 @@ fn loopback_rejects_reuse_stale_execution() {
         other => panic!("expected a structured protocol error, got: {other}"),
     }
 }
+
+/// Bytes one barrier round moves for an uncompressed, stateless-attack job
+/// with `n` workers, `f` Byzantine and dimension `d`, from the frame layout
+/// alone (8 bytes of length prefix and CRC, 1 tag byte, then the fields):
+/// `n − f` broadcasts, one observation relay of the `n − f` honest
+/// proposals, `n` proposals and `n − f + 1` round-closed frames.
+fn barrier_round_bytes(n: usize, f: usize, d: usize) -> u64 {
+    let honest = n - f;
+    let vector = 4 + 8 * d;
+    let broadcast = 9 + 8 + 8 + vector + 4;
+    let relay = broadcast + honest * vector;
+    let propose = 9 + 8 + 8 + 4 + vector;
+    let round_closed = 9 + 8 + 8 + 4 + 8;
+    (honest * broadcast + relay + n * propose + (honest + 1) * round_closed) as u64
+}
+
+/// The framing is pinned byte for byte: every served barrier round moves
+/// exactly the arithmetic frame total, uncompressed (`wire_bytes ==
+/// raw_bytes`). A change to the frame layout, or a frame sent twice or not
+/// at all, fails here — including for the n = 40, f = 4, d = 1000
+/// reference scenario, whose rounds move 908,054 bytes.
+#[test]
+fn barrier_rounds_move_exactly_the_arithmetic_frame_total() {
+    assert_eq!(barrier_round_bytes(40, 4, 1000), 908_054);
+    let mut reference = spec();
+    reference.cluster = ClusterSpec::new(40, 4).unwrap();
+    reference.estimator = EstimatorSpec::GaussianQuadratic {
+        dim: 1000,
+        sigma: 0.2,
+    };
+    reference.rounds = 3;
+    for (spec, n, f, d) in [(spec(), 9, 2, 6), (reference, 40, 4, 1000)] {
+        let served = run_loopback(spec).unwrap();
+        let expected = barrier_round_bytes(n, f, d);
+        for record in &served.history.rounds {
+            assert_eq!(record.wire_bytes, Some(expected), "round {}", record.round);
+            assert_eq!(record.raw_bytes, Some(expected), "round {}", record.round);
+        }
+    }
+}

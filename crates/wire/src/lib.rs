@@ -21,7 +21,10 @@
 //!   allocate gigabytes;
 //! * the trailing CRC-32 (IEEE) covers the tag and body, so bit flips and
 //!   framing slips surface as [`WireError::ChecksumMismatch`] instead of
-//!   garbage vectors;
+//!   garbage vectors. It is computed slicing-by-16 (sixteen lookup tables,
+//!   one 16-byte chunk per step) over the same IEEE polynomial, so its
+//!   values equal the plain bytewise CRC's: checkpoints written by older
+//!   builds and v1 peers are unaffected;
 //! * all integers are little-endian; `f64` coordinates travel as their IEEE
 //!   bit pattern (`to_le_bytes`), so a proposal crosses the wire
 //!   **bit-exactly** — the loopback server reproduces in-process
@@ -178,8 +181,74 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
+/// Slicing-by-16 tables: `CRC_TABLES[k][b]` is the CRC register after
+/// feeding byte `b` followed by `k` zero bytes, so row 0 is [`CRC_TABLE`]
+/// and each further row advances the previous one by one zero byte.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [CRC_TABLE; 16];
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// One table lookup; a `u8` index into a 256-entry row is in range by type.
+#[inline(always)]
+fn lut(row: &[u32; 256], byte: u8) -> u32 {
+    row[usize::from(byte)]
+}
+
 /// CRC-32 (IEEE) of `bytes` — the checksum carried by every frame.
+///
+/// Slicing-by-16: each 16-byte chunk folds into the register through
+/// sixteen independent table lookups instead of sixteen dependent ones,
+/// and the tail (under 16 bytes) runs bytewise. The values are those of
+/// the plain bytewise CRC, which the unit tests keep as the oracle.
 pub fn checksum(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15] = &CRC_TABLES;
+    let (chunks, tail) = bytes.as_chunks::<16>();
+    let mut c = 0xFFFF_FFFFu32;
+    for &[b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] in chunks {
+        // Whole-word loads and shifts: per-byte XORs against the register
+        // compile to a loop about twice as slow.
+        let w0 = u32::from_le_bytes([b0, b1, b2, b3]) ^ c;
+        let w1 = u32::from_le_bytes([b4, b5, b6, b7]);
+        let w2 = u32::from_le_bytes([b8, b9, b10, b11]);
+        let w3 = u32::from_le_bytes([b12, b13, b14, b15]);
+        c = lut(t15, w0 as u8)
+            ^ lut(t14, (w0 >> 8) as u8)
+            ^ lut(t13, (w0 >> 16) as u8)
+            ^ lut(t12, (w0 >> 24) as u8)
+            ^ lut(t11, w1 as u8)
+            ^ lut(t10, (w1 >> 8) as u8)
+            ^ lut(t9, (w1 >> 16) as u8)
+            ^ lut(t8, (w1 >> 24) as u8)
+            ^ lut(t7, w2 as u8)
+            ^ lut(t6, (w2 >> 8) as u8)
+            ^ lut(t5, (w2 >> 16) as u8)
+            ^ lut(t4, (w2 >> 24) as u8)
+            ^ lut(t3, w3 as u8)
+            ^ lut(t2, (w3 >> 8) as u8)
+            ^ lut(t1, (w3 >> 16) as u8)
+            ^ lut(t0, (w3 >> 24) as u8);
+    }
+    for &b in tail {
+        c = lut(t0, c as u8 ^ b) ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// The plain bytewise (Sarwate) CRC-32: the oracle [`checksum`] is tested
+/// against.
+#[cfg(test)]
+fn checksum_bytewise(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -604,20 +673,85 @@ impl Frame {
     /// Encodes the full frame (length prefix, payload, checksum) and returns
     /// the bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64);
-        self.encode_payload(&mut payload);
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
-        put_u32(&mut out, checksum(&payload));
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
         out
     }
 
-    /// Total bytes this frame occupies on the wire.
+    /// Appends the full frame (length prefix, payload, checksum) to `out`
+    /// in one pass: the payload is written in place behind a length
+    /// placeholder that is patched once the payload size is known.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        put_u32(out, 0);
+        self.encode_payload(out);
+        let payload = out.get(start + 4..).unwrap_or_default();
+        // A payload past `u32::MAX` saturates the prefix, which the sender
+        // check in `write_encoded` then rejects as too large.
+        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+        let crc = checksum(payload);
+        if let Some(prefix) = out.get_mut(start..) {
+            for (dst, src) in prefix.iter_mut().zip(len.to_le_bytes()) {
+                *dst = src;
+            }
+        }
+        put_u32(out, crc);
+    }
+
+    /// Total bytes this frame occupies on the wire, computed from the
+    /// fields without encoding (`tests/frame_roundtrip.rs` pins it to
+    /// `encode().len()` for every frame kind).
     pub fn encoded_len(&self) -> usize {
-        // length prefix + payload + checksum; payload size is cheap to
-        // recompute structurally, but encoding is simpler and exact.
-        self.encode().len()
+        let vec = |v: &[f64]| 4 + 8 * v.len();
+        let blob = |b: &[u8]| 4 + b.len();
+        let body = match self {
+            Self::Hello { agent, .. } => 2 + blob(agent.as_bytes()),
+            Self::JobAssign { spec_json, .. } => 8 + 4 + 8 + blob(spec_json.as_bytes()),
+            Self::Broadcast {
+                params, observed, ..
+            } => 8 + 8 + vec(params) + 4 + observed.iter().map(|v| vec(v)).sum::<usize>(),
+            Self::Propose { proposal, .. } => 8 + 8 + 4 + vec(proposal),
+            Self::RoundClosed { .. } => 8 + 8 + 4 + 8,
+            Self::Aggregate { params, .. } => 8 + 8 + vec(params),
+            Self::Shutdown { reason, .. } => 8 + blob(reason.as_bytes()),
+            Self::Ping { .. } | Self::Pong { .. } => 8 + 8,
+            Self::Rejoin { .. } => 2 + 8 + 4,
+            Self::Checkpoint {
+                params,
+                pending,
+                state_json,
+                ..
+            } => {
+                8 + 8
+                    + vec(params)
+                    + 4
+                    + pending
+                        .iter()
+                        .map(|e| 4 + 8 + vec(&e.proposal))
+                        .sum::<usize>()
+                    + blob(state_json.as_bytes())
+            }
+            Self::BroadcastC {
+                params, observed, ..
+            } => 8 + 8 + blob(params) + 4 + observed.iter().map(|b| blob(b)).sum::<usize>(),
+            Self::ProposeC { proposal, .. } => 8 + 8 + 4 + blob(proposal),
+            Self::RoundFeedback {
+                aggregate,
+                selected,
+                quorum,
+                ..
+            } => {
+                8 + 8
+                    + vec(aggregate)
+                    + 8
+                    + 1
+                    + if selected.is_some() { 4 } else { 0 }
+                    + 4
+                    + 4 * quorum.len()
+            }
+        };
+        // length prefix + tag + body + checksum
+        4 + 1 + body + 4
     }
 
     /// Decodes one payload (tag + body, as framed between the length prefix
@@ -805,15 +939,34 @@ impl Frame {
 /// [`MAX_FRAME_BYTES`] (nothing is written — the peer would only reject
 /// it), or [`WireError::Io`] when the transport fails.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError> {
-    let bytes = frame.encode();
-    let payload_len = bytes.len() - 8;
-    if payload_len > MAX_FRAME_BYTES {
-        return Err(WireError::FrameTooLarge {
-            len: payload_len,
-            max: MAX_FRAME_BYTES,
-        });
+    write_encoded(w, &frame.encode())
+}
+
+/// Writes already-encoded frames ([`Frame::encode`] /
+/// [`Frame::encode_into`] output, one frame or several back to back) to
+/// the transport with one `write_all`, returning the bytes written. This
+/// is how one encoding is sent to many peers, or many frames in one write.
+///
+/// # Errors
+///
+/// Returns [`WireError::FrameTooLarge`] when any frame's payload exceeds
+/// [`MAX_FRAME_BYTES`] (nothing is written), or [`WireError::Io`] when the
+/// transport fails.
+pub fn write_encoded(w: &mut impl Write, bytes: &[u8]) -> Result<usize, WireError> {
+    // Walk the length prefixes: every frame is checked before any byte
+    // reaches the wire.
+    let mut rest = bytes;
+    while let Some((prefix, tail)) = rest.split_first_chunk::<4>() {
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(WireError::FrameTooLarge {
+                len,
+                max: MAX_FRAME_BYTES,
+            });
+        }
+        rest = tail.get(len.saturating_add(4)..).unwrap_or_default();
     }
-    w.write_all(&bytes)?;
+    w.write_all(bytes)?;
     w.flush()?;
     Ok(bytes.len())
 }
@@ -827,6 +980,18 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError
 /// Returns a structured [`WireError`] for transport failures, oversized
 /// frames, checksum mismatches and malformed payloads; never panics.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
+    read_frame_into(r, &mut Vec::new())
+}
+
+/// [`read_frame`] into a caller-owned buffer: the payload and its trailing
+/// CRC arrive with one `read_exact` into `buf`, which long-lived readers
+/// keep across frames so a connection reuses one frame-sized allocation.
+///
+/// # Errors
+///
+/// As [`read_frame`]. The declared length is checked against
+/// [`MAX_FRAME_BYTES`] before `buf` is resized.
+pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<(Frame, usize), WireError> {
     let mut len_buf = [0u8; 4];
     // Distinguish "peer closed between frames" from "frame cut short".
     // The unfilled tail is tracked as a shrinking slice so no index
@@ -861,16 +1026,19 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
             max: MAX_FRAME_BYTES,
         });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf)?;
-    let carried = u32::from_le_bytes(crc_buf);
-    let computed = checksum(&payload);
+    buf.clear();
+    buf.resize(len + 4, 0);
+    r.read_exact(buf)?;
+    let (payload, crc) = buf.split_last_chunk::<4>().ok_or(WireError::Truncated {
+        needed: 4,
+        offset: 4 + len,
+    })?;
+    let carried = u32::from_le_bytes(*crc);
+    let computed = checksum(payload);
     if carried != computed {
         return Err(WireError::ChecksumMismatch { carried, computed });
     }
-    let frame = Frame::decode(&payload)?;
+    let frame = Frame::decode(payload)?;
     Ok((frame, 8 + len))
 }
 
@@ -902,8 +1070,14 @@ fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
 
 fn put_vec(out: &mut Vec<u8>, v: &[f64]) {
     put_u32(out, v.len() as u32);
-    for &x in v {
-        put_f64(out, x);
+    // One resize, then fixed-width stores into 8-byte lanes — no
+    // per-coordinate capacity check.
+    let start = out.len();
+    out.resize(start + 8 * v.len(), 0);
+    if let Some(body) = out.get_mut(start..) {
+        for (dst, x) in body.as_chunks_mut::<8>().0.iter_mut().zip(v) {
+            *dst = x.to_le_bytes();
+        }
     }
 }
 
@@ -1001,17 +1175,15 @@ impl<'a> Reader<'a> {
             });
         }
         let bytes = self.take(count * 8)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in bytes.chunks_exact(8) {
-            // `chunks_exact(8)` only yields full chunks; the zip copy is
-            // the panic-free spelling of `try_into().expect(..)`.
-            let mut le = [0u8; 8];
-            for (dst, src) in le.iter_mut().zip(chunk) {
-                *dst = *src;
-            }
-            out.push(f64::from_le_bytes(le));
-        }
-        Ok(out)
+        // `as_chunks` yields whole `[u8; 8]` lanes (the remainder is empty:
+        // `take` returned exactly `count * 8` bytes), so the collect sizes
+        // its allocation once and converts without a fallible step.
+        Ok(bytes
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|le| f64::from_le_bytes(*le))
+            .collect())
     }
 
     fn finish(&self) -> Result<(), WireError> {
@@ -1263,7 +1435,73 @@ mod tests {
     fn checksum_matches_known_vectors() {
         // CRC-32 (IEEE) of "123456789" is the classic check value.
         assert_eq!(checksum(b"123456789"), 0xCBF4_3926);
+        assert_eq!(checksum_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(checksum(b""), 0);
+    }
+
+    /// Arbitrary bytes: every element drawn uniformly from `0..=255`.
+    fn any_bytes(len: usize) -> impl proptest::Strategy<Value = Vec<u8>> {
+        use proptest::prelude::*;
+        prop::collection::vec(0u32..256, len).prop_map(|v| v.into_iter().map(|b| b as u8).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Slicing-by-16 is faster, not different: arbitrary buffers of
+        /// arbitrary length hash to the bytewise CRC's value.
+        #[test]
+        fn checksum_equals_the_bytewise_oracle(bytes in any_bytes(8192), len in 0usize..8192) {
+            let bytes = &bytes[..len];
+            proptest::prop_assert_eq!(checksum(bytes), checksum_bytewise(bytes));
+        }
+
+        /// Every length 0..=64 (up to four chunks): each split between the
+        /// 16-byte body and the bytewise tail agrees with the oracle.
+        #[test]
+        fn checksum_equals_the_oracle_at_every_short_length(bytes in any_bytes(64)) {
+            for len in 0..=64 {
+                let prefix = &bytes[..len];
+                proptest::prop_assert_eq!(checksum(prefix), checksum_bytewise(prefix), "length {}", len);
+            }
+        }
+    }
+
+    /// Several frames encoded into one buffer are written as one unit, and
+    /// an oversized frame anywhere in it stops the write before any byte.
+    #[test]
+    fn write_encoded_checks_every_frame_in_a_batch() {
+        let all = frames();
+        let mut batch = Vec::new();
+        for frame in &all {
+            frame.encode_into(&mut batch);
+        }
+        let mut sink = Vec::new();
+        assert_eq!(write_encoded(&mut sink, &batch).unwrap(), batch.len());
+        let mut cursor = std::io::Cursor::new(sink);
+        let mut buf = Vec::new();
+        for frame in &all {
+            let (back, _) = read_frame_into(&mut cursor, &mut buf).unwrap();
+            assert!(bits_equal(frame, &back));
+        }
+        assert!(matches!(
+            read_frame_into(&mut cursor, &mut buf),
+            Err(WireError::Closed)
+        ));
+
+        let oversized = Frame::Propose {
+            job: 1,
+            round: 0,
+            worker: 0,
+            proposal: vec![0.0; MAX_FRAME_BYTES / 8 + 1],
+        };
+        oversized.encode_into(&mut batch);
+        let mut sink = Vec::new();
+        assert!(matches!(
+            write_encoded(&mut sink, &batch),
+            Err(WireError::FrameTooLarge { .. })
+        ));
+        assert!(sink.is_empty(), "nothing may reach the wire");
     }
 
     #[test]

@@ -153,6 +153,7 @@ proptest! {
         let original = frame(kind, len, salt);
         let bytes = original.encode();
         prop_assert!(bytes.len() <= MAX_FRAME_BYTES + 8);
+        prop_assert_eq!(original.encoded_len(), bytes.len());
         let mut cursor = std::io::Cursor::new(bytes.clone());
         let (back, consumed) = read_frame(&mut cursor).unwrap_or_else(|e| {
             panic!("{} of {len} coords failed to round-trip: {e}", original.name())
