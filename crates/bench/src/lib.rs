@@ -6,9 +6,30 @@
 //! * `src/bin/e1_linear_fragility.rs` … `src/bin/e8_cost_of_resilience.rs` —
 //!   one runnable driver per experiment, each printing the series/rows of the
 //!   corresponding figure;
+//! * the extension drivers, each printing the JSON record checked in as a
+//!   `BENCH_*.json` at the repository root:
+//!   - `src/bin/e9_async_quorum.rs` — async partial-quorum rounds against
+//!     the synchronous barrier under a heavy-tailed straggler network
+//!     (`BENCH_async_quorum.json`);
+//!   - `src/bin/e10_server_loopback.rs` — the networked aggregation service
+//!     over loopback sockets against the in-process engine
+//!     (`BENCH_server_loopback.json`);
+//!   - `src/bin/e11_churn.rs` — worker churn and server crash/resume under
+//!     the chaos harness (`BENCH_churn.json`);
+//!   - `src/bin/e12_hier_scaling.rs` — hierarchical group aggregation and
+//!     incremental Gram reuse past n = 160 (`BENCH_hier_scaling.json`);
+//!   - `src/bin/e13_wire_compression.rs` — negotiated wire codecs: bytes
+//!     saved against the final-loss cost (`BENCH_wire_compression.json`);
+//!   - `src/bin/e14_adaptive_drift.rs` — stateful adaptive attacks against
+//!     stateful defenses (`BENCH_adaptive_drift.json`);
 //! * `src/bin/round_pipeline.rs` — records `BENCH_round_pipeline.json`
 //!   (aggregation-path wall time and allocation counts before/after the
 //!   `AggregationContext` refactor);
+//! * `src/bin/scenario_overhead.rs` — records `BENCH_scenario_overhead.json`
+//!   (allocations and wall time of a `Scenario`-built engine against a
+//!   hand-wired `RoundEngine` for the same experiment);
+//! * `src/bin/bench_summary.rs` — collates every checked-in `BENCH_*.json`
+//!   into one table;
 //! * `benches/krum_scaling.rs`, `benches/aggregators.rs`,
 //!   `benches/round_duration.rs` — Criterion micro/macro benchmarks backing
 //!   E3 and E8.

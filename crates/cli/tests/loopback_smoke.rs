@@ -3,8 +3,9 @@
 //! same header, bit-equal deterministic columns — and only the served rows
 //! fill the wire columns.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
+
+use common::{column, krum_csv, scenario_path, scratch_dir, table};
 
 /// Columns that must be bit-equal between the in-process and the served
 /// run (timing and wire columns legitimately differ).
@@ -21,46 +22,10 @@ const DETERMINISTIC_COLUMNS: &[&str] = &[
     "learning_rate",
 ];
 
-fn smoke_spec_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/smoke.json")
-}
-
-/// Runs `krum <args..> --csv <path>` and returns the CSV it wrote.
-fn krum_csv(args: &[&str], path: &Path) -> String {
-    let output = Command::new(env!("CARGO_BIN_EXE_krum"))
-        .args(args)
-        .arg("--csv")
-        .arg(path)
-        .output()
-        .expect("krum binary runs");
-    assert!(
-        output.status.success(),
-        "krum {args:?} failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    std::fs::read_to_string(path).expect("krum wrote the CSV")
-}
-
-/// The CSV's header and rows, `#` metadata lines skipped.
-fn table(csv: &str) -> (Vec<String>, Vec<Vec<String>>) {
-    let mut lines = csv.lines().filter(|l| !l.starts_with('#'));
-    let split = |line: &str| line.split(',').map(str::to_string).collect::<Vec<_>>();
-    let header = split(lines.next().expect("CSV has a header"));
-    (header, lines.map(split).collect())
-}
-
-fn column(header: &[String], name: &str) -> usize {
-    header
-        .iter()
-        .position(|h| h == name)
-        .unwrap_or_else(|| panic!("CSV lacks column {name}"))
-}
-
 #[test]
 fn loopback_csv_matches_the_in_process_run_and_fills_the_wire_columns() {
-    let dir = std::env::temp_dir().join(format!("krum-cli-loopback-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let spec = smoke_spec_path();
+    let dir = scratch_dir("loopback-smoke");
+    let spec = scenario_path("smoke.json");
     let spec = spec.to_str().unwrap();
     let run = krum_csv(&["run", spec, "--quiet"], &dir.join("run.csv"));
     let served = krum_csv(&["loopback", spec], &dir.join("loopback.csv"));

@@ -74,10 +74,24 @@ impl QuadraticCost {
             + self.offset
     }
 
-    /// Exact gradient `∇Q(x) = diag(a)(x − x*)`.
+    /// Exact gradient `∇Q(x) = diag(a)(x − x*)`, computed as
+    /// `(x_i − x*_i) · a_i` in one pass and one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not have the cost's dimension.
     pub fn true_gradient(&self, x: &Vector) -> Vector {
-        let diff = x - &self.optimum;
-        diff.hadamard(&self.curvature)
+        assert_eq!(
+            x.dim(),
+            self.optimum.dim(),
+            "dimension mismatch in true_gradient: {} vs {}",
+            x.dim(),
+            self.optimum.dim()
+        );
+        x.iter()
+            .zip(self.optimum.iter().zip(self.curvature.iter()))
+            .map(|(x, (opt, a))| (x - opt) * a)
+            .collect()
     }
 }
 
@@ -135,6 +149,29 @@ mod tests {
         assert!((q.cost(&x) - 1.5).abs() < 1e-12);
         assert_eq!(q.true_gradient(&x).as_slice(), &[1.0, 1.0]);
         assert_eq!(q.true_gradient(q.optimum()).as_slice(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn one_pass_gradient_matches_subtract_then_hadamard_bit_for_bit() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
+        let dim = 257;
+        let optimum = Vector::gaussian(dim, 0.0, 3.0, &mut rng);
+        let curvature = Vector::uniform(dim, 0.1, 5.0, &mut rng);
+        let q = QuadraticCost::diagonal(optimum.clone(), curvature.clone(), 0.0).unwrap();
+        for _ in 0..4 {
+            let mut x = Vector::gaussian(dim, 1.0, 2.0, &mut rng);
+            // Signed zeros and exact cancellation at the optimum.
+            x[0] = -0.0;
+            x[1] = optimum[1];
+            let mut diff = x.clone();
+            diff.axpy(-1.0, &optimum);
+            let want = diff.hadamard(&curvature);
+            let got = q.true_gradient(&x);
+            for (g, w) in got.iter().zip(want.iter()) {
+                assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
     }
 
     #[test]

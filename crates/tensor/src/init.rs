@@ -4,7 +4,7 @@
 //! of these strategies so that every experiment is reproducible from a seed.
 
 use rand::Rng;
-use rand_distr::{Distribution, Normal, Uniform};
+use rand_distr::{Distribution, Uniform};
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
@@ -84,10 +84,8 @@ pub fn xavier_uniform<R: Rng + ?Sized>(fan_out: usize, fan_in: usize, rng: &mut 
 /// Used by attack strategies that need an arbitrary direction, and by the
 /// resilience estimator when probing worst-case directions.
 pub fn random_unit_vector<R: Rng + ?Sized>(dim: usize, rng: &mut R) -> Vector {
-    let normal = Normal::new(0.0, 1.0).expect("unit normal is valid");
     loop {
-        let v: Vector = (0..dim).map(|_| normal.sample(rng)).collect();
-        if let Some(u) = v.normalized() {
+        if let Some(u) = Vector::gaussian(dim, 0.0, 1.0, rng).normalized() {
             return u;
         }
     }

@@ -101,11 +101,9 @@ impl Matrix {
         rng: &mut R,
     ) -> Self {
         let normal = Normal::new(mean, std).expect("standard deviation must be finite and >= 0");
-        Self {
-            rows,
-            cols,
-            data: (0..rows * cols).map(|_| normal.sample(rng)).collect(),
-        }
+        let mut data = vec![0.0; rows * cols];
+        normal.fill(rng, &mut data);
+        Self { rows, cols, data }
     }
 
     /// Samples a matrix with i.i.d. uniform entries on `[lo, hi)`.

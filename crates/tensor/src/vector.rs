@@ -65,11 +65,14 @@ impl Vector {
     }
 
     /// Samples a vector whose coordinates are i.i.d. `N(mean, std^2)`.
+    ///
+    /// Draws in bulk through [`Normal::fill`]: the same coordinates, in the
+    /// same order, as `dim` consecutive `Normal::sample` calls.
     pub fn gaussian<R: Rng + ?Sized>(dim: usize, mean: f64, std: f64, rng: &mut R) -> Self {
         let normal = Normal::new(mean, std).expect("standard deviation must be finite and >= 0");
-        Self {
-            data: (0..dim).map(|_| normal.sample(rng)).collect(),
-        }
+        let mut data = vec![0.0; dim];
+        normal.fill(rng, &mut data);
+        Self { data }
     }
 
     /// Samples a vector whose coordinates are i.i.d. uniform on `[lo, hi)`.

@@ -8,9 +8,12 @@
 //! named by the server hot paths), plus the allocation-free kernel shared
 //! with `closest-to-barycenter`.
 //!
-//! The counter is thread-local so the test stays meaningful even if the
-//! harness runs other tests concurrently in the same process; for the same
-//! reason everything lives in a single `#[test]`.
+//! The sampling path is pinned the same way: a warm `ChaCha8Rng::fill_bytes`
+//! and `Normal::fill` allocate nothing, and one Gaussian gradient estimate
+//! allocates exactly its gradient and its noise vector.
+//!
+//! The counter is thread-local so each test stays meaningful even if the
+//! harness runs other tests concurrently in the same process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,7 +22,11 @@ use krum::aggregation::{
     AggregationContext, Aggregator, ClosestToBarycenter, CoordinateWiseMedian, ExecutionPolicy,
     Hierarchical, Krum, MultiKrum, StageRule, TrimmedMean,
 };
+use krum::models::{GaussianEstimator, GradientEstimator, QuadraticCost};
 use krum::tensor::Vector;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use rand_distr::Normal;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -234,4 +241,57 @@ fn hierarchical_aggregation_is_allocation_free_after_warmup() {
         after - before
     );
     assert_eq!(ctx.output(), &expected);
+}
+
+/// The Gaussian sampler's bulk paths draw into caller-owned memory: the
+/// generator allocates its keystream buffer once, on its first draw, and
+/// `Normal::fill` stages its words on the stack, so a warm draw never touches
+/// the heap.
+#[test]
+fn bulk_sampling_is_allocation_free() {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let normal = Normal::new(0.0, 0.2).unwrap();
+    let mut bytes = vec![0u8; 4099];
+    let mut samples = vec![0.0; 1000];
+    rng.fill_bytes(&mut bytes);
+
+    let before = allocations();
+    for _ in 0..10 {
+        rng.fill_bytes(&mut bytes);
+        normal.fill(&mut rng, &mut samples);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "bulk sampling allocated {} times in 10 warm rounds",
+        after - before
+    );
+    assert!(samples.iter().all(|x| x.is_finite()));
+}
+
+/// One Gaussian estimate `∇Q(x) + ξ` allocates exactly twice: the one-pass
+/// gradient and the noise vector that is added into it.
+#[test]
+fn gaussian_estimate_allocates_its_gradient_and_its_noise() {
+    let dim = 1000;
+    let cost = QuadraticCost::isotropic(Vector::filled(dim, 0.5), 0.0);
+    let estimator = GaussianEstimator::new(cost, 0.2).unwrap();
+    let params = Vector::filled(dim, 1.0);
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let rng: &mut dyn RngCore = &mut rng;
+    estimator.estimate(&params, rng).unwrap();
+
+    let calls = 10;
+    let before = allocations();
+    for _ in 0..calls {
+        estimator.estimate(&params, rng).unwrap();
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        2 * calls,
+        "{calls} estimates allocated {} times",
+        after - before
+    );
 }
