@@ -38,8 +38,13 @@ const AGGREGATION_SRC: &[&str] = &["crates/core/src/", "crates/dist/src/"];
 
 /// The never-panic surface: everything that touches bytes from the wire.
 /// `krum-wire` decodes attacker-controlled frames; `krum-server` handles
-/// them. A panic here is a remote denial of service.
-const NEVER_PANIC_SRC: &[&str] = &["crates/wire/src/", "crates/server/src/"];
+/// them; the quorum machine takes worker ids from frames and checkpoint
+/// files. A panic here is a remote denial of service.
+const NEVER_PANIC_SRC: &[&str] = &[
+    "crates/wire/src/",
+    "crates/server/src/",
+    "crates/dist/src/quorum.rs",
+];
 
 /// Benchmark / timing code is the one place entropy and wall clocks are
 /// legitimate; everything else must derive randomness from the master seed.
@@ -156,6 +161,8 @@ mod tests {
         assert!(Lint::Det003.applies_to("crates/core/src/kernel.rs"));
         assert!(!Lint::Det003.applies_to("crates/cli/src/lib.rs"));
         assert!(Lint::Panic001.applies_to("crates/wire/src/lib.rs"));
+        assert!(Lint::Panic001.applies_to("crates/dist/src/quorum.rs"));
+        assert!(!Lint::Panic001.applies_to("crates/dist/src/engine.rs"));
         assert!(!Lint::Panic001.applies_to("crates/core/src/krum.rs"));
         assert!(Lint::Safe001.applies_to("tests/allocation_regression.rs"));
     }

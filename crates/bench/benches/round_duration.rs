@@ -7,10 +7,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use krum_bench::quadratic_estimators;
 use krum_core::{Aggregator, Average, Krum};
-use krum_dist::{ClusterSpec, LearningRateSchedule, SyncTrainer, TrainingConfig};
+use krum_dist::{
+    ClusterSpec, ExecutionStrategy, LearningRateSchedule, RoundEngine, TrainingConfig,
+};
 use krum_tensor::Vector;
 
-fn build_trainer(n: usize, f: usize, dim: usize, aggregator: Box<dyn Aggregator>) -> SyncTrainer {
+fn build_trainer(n: usize, f: usize, dim: usize, aggregator: Box<dyn Aggregator>) -> RoundEngine {
     let cluster = ClusterSpec::new(n, f).expect("valid cluster");
     let config = TrainingConfig {
         rounds: 1,
@@ -19,12 +21,14 @@ fn build_trainer(n: usize, f: usize, dim: usize, aggregator: Box<dyn Aggregator>
         eval_every: usize::MAX / 2,
         known_optimum: None,
     };
-    SyncTrainer::new(
+    RoundEngine::new(
         cluster,
         aggregator,
         Box::new(krum_attacks::GaussianNoise::new(50.0).unwrap()),
         quadratic_estimators(n - f, dim, 0.2),
+        None,
         config,
+        ExecutionStrategy::Sequential,
     )
     .expect("valid trainer")
 }

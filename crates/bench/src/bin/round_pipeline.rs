@@ -18,7 +18,9 @@ use std::time::Instant;
 
 use krum_bench::{quadratic_estimators, rng, synthetic_proposals};
 use krum_core::{AggregationContext, Aggregator, CoordinateWiseMedian, ExecutionPolicy, Krum};
-use krum_dist::{ClusterSpec, LearningRateSchedule, SyncTrainer, TrainingConfig};
+use krum_dist::{
+    ClusterSpec, ExecutionStrategy, LearningRateSchedule, RoundEngine, TrainingConfig,
+};
 use krum_tensor::Vector;
 
 thread_local! {
@@ -116,12 +118,14 @@ fn trainer_round_nanos(n: usize, f: usize, dim: usize, aggregator: Box<dyn Aggre
         eval_every: usize::MAX / 2,
         known_optimum: None,
     };
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         ClusterSpec::new(n, f).expect("valid cluster"),
         aggregator,
         Box::new(krum_attacks::GaussianNoise::new(50.0).expect("std")),
         quadratic_estimators(n - f, dim, 0.2),
+        None,
         config,
+        ExecutionStrategy::Sequential,
     )
     .expect("valid trainer");
     let params = Vector::filled(dim, 1.0);

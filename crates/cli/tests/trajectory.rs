@@ -4,7 +4,7 @@
 //!
 //! 1. the `krum` binary (`krum run scenarios/smoke.json`),
 //! 2. the in-process `Scenario::run()`,
-//! 3. the legacy hand-wired `SyncTrainer`,
+//! 3. a hand-wired `RoundEngine`,
 //!
 //! because every random stream derives from the spec's seed. The test also
 //! asserts the exported CSV is well-formed (the same check CI runs on the
@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use krum_dist::{SyncTrainer, TrainingConfig};
+use krum_dist::{ExecutionStrategy, RoundEngine, TrainingConfig};
 use krum_metrics::RoundRecord;
 use krum_scenario::{Scenario, ScenarioReport, ScenarioSpec};
 use krum_tensor::Vector;
@@ -64,18 +64,19 @@ fn json_scenario_is_bit_identical_across_cli_scenario_and_legacy_paths() {
     // Path 2: the in-process scenario API from the same JSON.
     let api_report = Scenario::from_json(&json).unwrap().run().unwrap();
 
-    // Path 3: the legacy hand-wired trainer from the same field values.
+    // Path 3: a hand-wired engine from the same field values.
     let workload = spec
         .estimator
         .build(spec.cluster.honest(), spec.seed)
         .unwrap();
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         spec.cluster,
         spec.rule
             .build(spec.cluster.workers(), spec.cluster.byzantine())
             .unwrap(),
         spec.attack.build(workload.dim).unwrap(),
         workload.estimators,
+        None,
         TrainingConfig {
             rounds: spec.rounds,
             schedule: spec.schedule,
@@ -83,6 +84,7 @@ fn json_scenario_is_bit_identical_across_cli_scenario_and_legacy_paths() {
             eval_every: spec.eval_every,
             known_optimum: workload.optimum,
         },
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let start = match spec.init {

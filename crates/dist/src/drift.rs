@@ -12,11 +12,11 @@
 //!   unit-normed): `Σ_t γ_t · ⟨F_t − μ_t, d̂_t⟩`. This is the attacker's net
 //!   pull on the parameters; a defense works exactly when this stays flat.
 //!
-//! The tracker is shared by the in-process engines and the `krum-server`
-//! job driver so both worlds fill the same columns from the same arithmetic
-//! — the loopback-equals-in-process invariant extends to the drift metrics.
-//! All scratch is owned by the tracker; steady-state observations allocate
-//! nothing.
+//! [`RoundCore`](crate::RoundCore) owns the tracker, so the in-process
+//! engine and the `krum-server` job loop fill the same columns from the
+//! same arithmetic — the loopback-equals-in-process invariant extends to the
+//! drift metrics. All scratch is owned by the tracker; steady-state
+//! observations allocate nothing.
 
 use krum_metrics::RoundRecord;
 use krum_tensor::Vector;
@@ -25,7 +25,7 @@ use krum_tensor::Vector;
 /// [`DriftTracker::observe`] after every closed round, and it fills the
 /// drift columns of the round's [`RoundRecord`].
 #[derive(Debug, Clone, Default)]
-pub struct DriftTracker {
+pub(crate) struct DriftTracker {
     /// Cumulative projection of the applied updates onto the attack
     /// direction.
     displacement: f64,
@@ -37,23 +37,18 @@ pub struct DriftTracker {
 
 impl DriftTracker {
     /// A tracker starting from zero displacement.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// A tracker resuming from a checkpointed run: `displacement` is the
     /// last recorded `attacker_displacement` (or 0 when none was recorded),
     /// so the resumed column continues the original series exactly.
-    pub fn resume(displacement: f64) -> Self {
+    pub(crate) fn resume(displacement: f64) -> Self {
         Self {
             displacement,
             ..Self::default()
         }
-    }
-
-    /// The cumulative attacker displacement so far.
-    pub fn displacement(&self) -> f64 {
-        self.displacement
     }
 
     /// Digests one closed round and fills the drift columns of its record.
@@ -64,7 +59,7 @@ impl DriftTracker {
     /// applied. Rounds without honest proposals in the quorum leave the
     /// columns untouched; rounds without Byzantine proposals record the
     /// distance but carry the displacement unchanged.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         record: &mut RoundRecord,
         aggregate: &Vector,
@@ -145,7 +140,7 @@ mod tests {
         let expected = 0.5 * 3.0f64.sqrt();
         assert!((r.dist_to_honest_mean.unwrap() - expected).abs() < 1e-12);
         assert_eq!(r.attacker_displacement, Some(0.0));
-        assert_eq!(tracker.displacement(), 0.0);
+        assert_eq!(tracker.displacement, 0.0);
     }
 
     #[test]
@@ -163,7 +158,7 @@ mod tests {
         let aggregate = Vector::from(vec![0.3, 0.0]);
         let mut r = record();
         tracker.observe(&mut r, &aggregate, &proposals, &ids, 2, 1.0);
-        assert!((tracker.displacement() - 0.3).abs() < 1e-12);
+        assert!((tracker.displacement - 0.3).abs() < 1e-12);
         let mut r2 = record();
         tracker.observe(&mut r2, &aggregate, &proposals, &ids, 2, 1.0);
         assert!((r2.attacker_displacement.unwrap() - 0.6).abs() < 1e-12);
@@ -171,22 +166,22 @@ mod tests {
         let repelled = Vector::from(vec![-0.1, 0.0]);
         let mut r3 = record();
         tracker.observe(&mut r3, &repelled, &proposals, &ids, 2, 1.0);
-        assert!((tracker.displacement() - 0.5).abs() < 1e-12);
+        assert!((tracker.displacement - 0.5).abs() < 1e-12);
         // Orthogonal movement projects to zero.
         let orthogonal = Vector::from(vec![0.0, 2.0]);
         let mut r4 = record();
         tracker.observe(&mut r4, &orthogonal, &proposals, &ids, 2, 1.0);
-        assert!((tracker.displacement() - 0.5).abs() < 1e-12);
+        assert!((tracker.displacement - 0.5).abs() < 1e-12);
         // The learning rate scales the projection.
         let mut r5 = record();
         tracker.observe(&mut r5, &aggregate, &proposals, &ids, 2, 0.1);
-        assert!((tracker.displacement() - 0.53).abs() < 1e-12);
+        assert!((tracker.displacement - 0.53).abs() < 1e-12);
     }
 
     #[test]
     fn resume_continues_the_series() {
         let mut tracker = DriftTracker::resume(7.5);
-        assert_eq!(tracker.displacement(), 7.5);
+        assert_eq!(tracker.displacement, 7.5);
         let proposals = vec![Vector::from(vec![0.0]), Vector::from(vec![1.0])];
         let aggregate = Vector::from(vec![0.5]);
         let mut r = record();
@@ -209,6 +204,6 @@ mod tests {
         let mut r = record();
         tracker.observe(&mut r, &Vector::from(vec![2.0]), &coincide, &[0, 9], 1, 1.0);
         assert_eq!(r.attacker_displacement, Some(0.0));
-        assert!(tracker.displacement().is_finite());
+        assert!(tracker.displacement.is_finite());
     }
 }

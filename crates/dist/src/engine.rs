@@ -1,5 +1,5 @@
-//! The shared round engine — one implementation of the paper's protocol
-//! behind every trainer.
+//! The in-process round engine — one implementation of the paper's protocol
+//! under every execution strategy.
 //!
 //! Each round is one pass through the pipeline
 //!
@@ -29,9 +29,11 @@
 //!   the paper's Byzantine model: each round aggregates the fastest
 //!   `quorum ≥ n − f` arrivals under the simulated network, carries the
 //!   stragglers into later rounds up to a staleness bound, and honours the
-//!   adversary's [`AttackTiming`] (straggle, respond-last). The aggregation
-//!   rule must be built for `quorum` proposals — Krum's `2f + 2 < n`
-//!   precondition is re-validated against the quorum size, not `n`.
+//!   adversary's [`AttackTiming`] (straggle, respond-last). The selection
+//!   and carry-over rules are the [`Quorum`] machine's, shared with
+//!   `krum-server`. The aggregation rule must be built for `quorum`
+//!   proposals — Krum's `2f + 2 < n` precondition is re-validated against
+//!   the quorum size, not `n`.
 //!
 //! Because every random stream derives from the master seed, every strategy
 //! is **bit-reproducible**, and the two barrier strategies follow identical
@@ -53,9 +55,9 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::config::{ClusterSpec, TrainingConfig};
-use crate::drift::DriftTracker;
 use crate::error::TrainError;
 use crate::network::NetworkModel;
+use crate::quorum::{Proposal, Quorum};
 use crate::round_core::{AccuracyProbe, RoundCore};
 
 /// Derives an independent RNG stream from the master seed.
@@ -86,19 +88,19 @@ pub(crate) const NETWORK_STREAM: u64 = u64::MAX - 2;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecutionStrategy {
     /// Honest workers run one after the other on the server thread — the
-    /// reference engine of [`SyncTrainer`](crate::SyncTrainer).
+    /// reference engine.
     Sequential,
     /// Honest worker gradients are computed in parallel on the `rayon` pool
     /// and the simulated [`NetworkModel`] charges per-round communication
-    /// time to the metrics — the engine of
-    /// [`ThreadedTrainer`](crate::ThreadedTrainer).
+    /// time to the metrics (the cost-of-resilience experiments, E8).
     Threaded {
         /// The simulated network charged to each round's timings.
         network: NetworkModel,
     },
     /// Partial-quorum rounds: the server aggregates the fastest `quorum`
     /// proposals under the simulated network and carries the stragglers
-    /// into later rounds with a staleness bound. Timing-aware adversaries
+    /// into later rounds with a staleness bound, through the shared
+    /// [`Quorum`](crate::Quorum) machine. Timing-aware adversaries
     /// ([`AttackTiming`]) straggle deliberately or wait to observe the
     /// closing quorum before responding.
     ///
@@ -140,14 +142,6 @@ impl ExecutionStrategy {
     fn parallel_workers(&self) -> bool {
         matches!(self, Self::Threaded { .. })
     }
-
-    /// The simulated network, when the strategy carries one.
-    pub(crate) fn network(&self) -> Option<NetworkModel> {
-        match *self {
-            Self::Sequential => None,
-            Self::Threaded { network } | Self::AsyncQuorum { network, .. } => Some(network),
-        }
-    }
 }
 
 impl std::fmt::Display for ExecutionStrategy {
@@ -174,123 +168,78 @@ impl std::fmt::Display for ExecutionStrategy {
     }
 }
 
-/// An in-flight proposal the async-quorum strategy carries across rounds.
-/// Everything in the pending pool has already reached the server (it arrived
-/// after the previous round's quorum closed), so it is available — and ages —
-/// from the next round on.
-#[derive(Debug, Clone)]
-struct PendingProposal {
-    /// Worker that issued the proposal (`≥ n − f` means Byzantine).
-    worker: usize,
-    /// Round the proposal's gradient was computed at.
-    issued_round: usize,
-    /// The proposed vector.
-    vector: Vector,
+/// The omniscient adversary of one engine: the attack, its display name
+/// and its RNG stream.
+struct Adversary {
+    attack: Box<dyn Attack>,
+    name: String,
+    rng: ChaCha8Rng,
 }
 
-/// One proposal competing for a slot in this round's quorum.
-struct Candidate {
-    /// Sort tier: 0 = already arrived (carried straggler), 1 = fresh racing
-    /// arrival, 2 = deliberately late (straggling Byzantine worker).
-    tier: u8,
-    /// Simulated arrival nanos within the round (tier 1 only).
-    arrival: u128,
-    /// Round the proposal was issued at.
-    issued_round: usize,
-    /// Issuing worker.
-    worker: usize,
-    /// The proposed vector.
-    vector: Vector,
-}
-
-impl Candidate {
-    fn sort_key(&self) -> (u8, u128, usize, usize) {
-        (self.tier, self.arrival, self.issued_round, self.worker)
+impl Adversary {
+    /// Forges the `f` Byzantine proposals, enforces the attack contract
+    /// (count and dimensions) and quantizes them like every proposal that
+    /// crosses the wire (NaN/∞ payloads survive — the codecs escape
+    /// non-finite blocks — so poisoning attacks stay faithful). `observed`
+    /// is what the adversary has seen this round: every fresh honest
+    /// proposal, or the quorum so far for a last-to-respond adversary.
+    fn forge(
+        &mut self,
+        core: &RoundCore,
+        observed: &[Vector],
+        params: &Vector,
+        true_gradient: Option<&Vector>,
+        round: usize,
+    ) -> Result<Vec<Vector>, TrainError> {
+        let cluster = core.cluster();
+        let byzantine = cluster.byzantine();
+        let ctx = AttackContext {
+            honest_proposals: observed,
+            current_params: params,
+            true_gradient,
+            byzantine_count: byzantine,
+            total_workers: cluster.workers(),
+            round,
+            aggregator_name: core.aggregator_name(),
+        };
+        let mut forged = self.attack.forge(&ctx, &mut self.rng)?;
+        let contract = |message: String| TrainError::AttackContract {
+            attack: self.name.clone(),
+            message,
+        };
+        if forged.len() != byzantine {
+            return Err(contract(format!(
+                "returned {} proposals, expected {byzantine}",
+                forged.len()
+            )));
+        }
+        if let Some(proposal) = forged.iter().find(|p| p.dim() != core.dim()) {
+            return Err(contract(format!(
+                "returned a proposal of dimension {}, expected {}",
+                proposal.dim(),
+                core.dim()
+            )));
+        }
+        if let Some(codec) = core.compression() {
+            transform_vectors(&**codec, &mut forged, params.as_slice());
+        }
+        Ok(forged)
     }
-}
 
-/// Forges the Byzantine proposals and enforces the attack contract (count
-/// and dimensions). `observed` is what the adversary has seen this round —
-/// every fresh honest proposal for barrier strategies and racing/straggling
-/// adversaries, or the quorum-closing set for a last-to-respond adversary.
-#[allow(clippy::too_many_arguments)]
-fn forge_proposals(
-    attack: &dyn Attack,
-    attack_name: &str,
-    rng: &mut ChaCha8Rng,
-    observed: &[Vector],
-    params: &Vector,
-    true_gradient: Option<&Vector>,
-    byzantine: usize,
-    total_workers: usize,
-    round: usize,
-    aggregator_name: &str,
-    dim: usize,
-) -> Result<Vec<Vector>, TrainError> {
-    let ctx = AttackContext {
-        honest_proposals: observed,
-        current_params: params,
-        true_gradient,
-        byzantine_count: byzantine,
-        total_workers,
-        round,
-        aggregator_name,
-    };
-    let forged = attack.forge(&ctx, rng)?;
-    if forged.len() != byzantine {
-        return Err(TrainError::AttackContract {
-            attack: attack_name.to_string(),
-            message: format!("returned {} proposals, expected {byzantine}", forged.len()),
-        });
-    }
-    for proposal in &forged {
-        if proposal.dim() != dim {
-            return Err(TrainError::AttackContract {
-                attack: attack_name.to_string(),
-                message: format!(
-                    "returned a proposal of dimension {}, expected {}",
-                    proposal.dim(),
-                    dim
-                ),
+    /// Hands a stateful attack the [`RoundFeedback`] of the round just
+    /// closed. Stateless attacks pay no feedback cost (no clone, no observe
+    /// call), so their trajectories are untouched.
+    fn feed(&mut self, record: &RoundRecord, aggregate: &Vector, workers: &[usize]) {
+        if self.attack.stateful() {
+            self.attack.observe(&RoundFeedback {
+                round: record.round,
+                aggregate: aggregate.clone(),
+                learning_rate: record.learning_rate,
+                selected_worker: record.selected_worker,
+                selected_byzantine: record.selected_byzantine,
+                quorum_workers: workers.to_vec(),
             });
         }
-    }
-    Ok(forged)
-}
-
-/// Feeds the round's observers once the aggregate is accepted: the drift
-/// tracker fills the drift columns of the record, and a stateful adversary
-/// receives the [`RoundFeedback`] it adapts on. `worker_ids[i]` is the
-/// worker behind `proposals[i]`; the record's selection fields must already
-/// be remapped to worker ids. Stateless attacks pay no feedback cost (no
-/// clone, no observe call), so pre-existing trajectories are untouched.
-fn observe_round(
-    drift: &mut DriftTracker,
-    attack: &mut dyn Attack,
-    record: &mut RoundRecord,
-    aggregate: &Vector,
-    proposals: &[Vector],
-    worker_ids: &[usize],
-    honest: usize,
-) {
-    drift.observe(
-        record,
-        aggregate,
-        proposals,
-        worker_ids,
-        honest,
-        record.learning_rate,
-    );
-    if attack.stateful() {
-        let feedback = RoundFeedback {
-            round: record.round,
-            aggregate: aggregate.clone(),
-            learning_rate: record.learning_rate,
-            selected_worker: record.selected_worker,
-            selected_byzantine: record.selected_byzantine,
-            quorum_workers: worker_ids.to_vec(),
-        };
-        attack.observe(&feedback);
     }
 }
 
@@ -305,9 +254,9 @@ fn transform_vectors(codec: &dyn GradientCodec, vectors: &mut [Vector], referenc
     }
 }
 
-/// The shared round engine behind [`SyncTrainer`](crate::SyncTrainer) and
-/// [`ThreadedTrainer`](crate::ThreadedTrainer), and the only implementation
-/// of the async partial-quorum protocol.
+/// The in-process round engine: every [`ExecutionStrategy`] runs through
+/// it, and its async strategy drives the same [`Quorum`] machine as
+/// `krum-server`'s job loop.
 ///
 /// Holds the cluster state (aggregator, attack, worker estimators, RNG
 /// streams) and executes one round at a time through the
@@ -321,8 +270,7 @@ pub struct RoundEngine {
     /// The server half of the pipeline (aggregate → step → record), shared
     /// with the networked execution world (`krum-server`).
     core: RoundCore,
-    attack: Box<dyn Attack>,
-    attack_name: String,
+    adversary: Adversary,
     /// One estimator per honest worker.
     estimators: Vec<Box<dyn GradientEstimator>>,
     /// Dedicated metrics/adversary probe; when absent, `estimators[0]`
@@ -332,19 +280,12 @@ pub struct RoundEngine {
     dim: usize,
     /// One independent RNG per honest worker.
     worker_rngs: Vec<ChaCha8Rng>,
-    attack_rng: ChaCha8Rng,
     network_rng: ChaCha8Rng,
     /// Per-round proposal scratch (`n` slots), reused across rounds.
     proposals: Vec<Vector>,
-    /// In-flight straggler proposals carried across rounds (async quorum
-    /// strategy only; always empty for the barrier strategies).
-    pending: Vec<PendingProposal>,
-    /// The vectors aggregated this round under the async strategy, in
-    /// `(issued_round, worker)` order.
-    quorum_vectors: Vec<Vector>,
-    /// `(worker, issued_round)` per entry of `quorum_vectors`, to attribute
-    /// selections back to workers.
-    quorum_meta: Vec<(usize, usize)>,
+    /// The partial-quorum machine of the async strategy (idle under the
+    /// other strategies).
+    quorum: Quorum,
     /// Latest-proposal table for the reuse-stale async mode: one slot per
     /// worker, refreshed in place (`assign`), aggregated at arity `n` every
     /// round. Empty until the first reuse round.
@@ -357,14 +298,9 @@ pub struct RoundEngine {
     /// Whether reuse-stale rounds arm the incremental Gram cache (on by
     /// default; benches disable it to measure the full-recompute baseline).
     gram_cache: bool,
-    /// Drift-metrics accumulator, fed after every closed round.
-    drift: DriftTracker,
     /// Identity worker map `0..n` — the proposal layout of the barrier and
     /// reuse-stale paths, where slot `i` *is* worker `i`.
     identity_ids: Vec<usize>,
-    /// Worker ids behind this round's aggregated vectors on the async path
-    /// (the worker components of `quorum_meta`), rebuilt each round.
-    round_workers: Vec<usize>,
 }
 
 impl RoundEngine {
@@ -464,33 +400,39 @@ impl RoundEngine {
             }
         }
         let seed = config.seed;
+        let n = cluster.workers();
         let worker_rngs = (0..cluster.honest())
             .map(|w| stream_rng(seed, w as u64))
             .collect();
-        let proposals = vec![Vector::zeros(dim); cluster.workers()];
+        let quorum = match strategy {
+            ExecutionStrategy::AsyncQuorum {
+                quorum,
+                max_staleness,
+                ..
+            } => Quorum::new(n, quorum, max_staleness),
+            _ => Quorum::new(n, n, 0),
+        };
         Ok(Self {
             cluster,
             core: RoundCore::new(cluster, aggregator, config, dim)?,
-            attack_name: attack.name(),
-            attack,
+            adversary: Adversary {
+                name: attack.name(),
+                attack,
+                rng: stream_rng(seed, ATTACK_STREAM),
+            },
             estimators,
             probe,
-            attack_rng: stream_rng(seed, ATTACK_STREAM),
             network_rng: stream_rng(seed, NETWORK_STREAM),
             strategy,
             dim,
             worker_rngs,
-            proposals,
-            pending: Vec::new(),
-            quorum_vectors: Vec::new(),
-            quorum_meta: Vec::new(),
+            proposals: vec![Vector::zeros(dim); n],
+            quorum,
             latest: Vec::new(),
             latest_issued: Vec::new(),
             generations: Vec::new(),
             gram_cache: true,
-            drift: DriftTracker::new(),
-            identity_ids: (0..cluster.workers()).collect(),
-            round_workers: Vec::new(),
+            identity_ids: (0..n).collect(),
         })
     }
 
@@ -613,36 +555,30 @@ impl RoundEngine {
                 if reuse_stale {
                     self.step_reuse(params, round, quorum, max_staleness, network)
                 } else {
-                    self.step_async(params, round, quorum, max_staleness, network)
+                    self.step_async(params, round, network)
                 }
             }
             _ => self.step_barrier(params, round),
         }
     }
 
-    /// One full-barrier round (sequential or threaded).
-    fn step_barrier(
-        &mut self,
-        params: &mut Vector,
-        round: usize,
-    ) -> Result<RoundRecord, TrainError> {
-        let round_start = Instant::now();
+    /// Phases 1+2, broadcast + propose: the server publishes `x_t` (the
+    /// shared borrow) and every honest worker estimates a gradient at it
+    /// into `proposals[..honest]`, consuming its own RNG stream in the same
+    /// order under every strategy. Quantize-before-aggregate: under a codec
+    /// the adversary observes (and the server aggregates) the dequantized
+    /// proposals, exactly as a remote worker's encode → server decode would
+    /// produce. Returns the phase's wall-clock nanos.
+    fn propose(&mut self, params: &Vector) -> Result<u128, TrainError> {
+        let start = Instant::now();
         let honest = self.cluster.honest();
-        let byzantine = self.cluster.byzantine();
-
-        // Phase 1+2: broadcast + propose. The server publishes `x_t` (the
-        // shared borrow below) and every honest worker estimates a gradient
-        // at it; the scratch buffer is reused, only the estimator outputs
-        // are fresh.
-        let propose_start = Instant::now();
         if self.strategy.parallel_workers() && honest > 1 {
-            let params_ref: &Vector = params;
             let outputs: Result<Vec<Vector>, _> = self.estimators[..honest]
                 .iter()
                 .zip(self.worker_rngs.iter_mut())
                 .collect::<Vec<_>>()
                 .into_par_iter()
-                .map(|(estimator, rng)| estimator.estimate(params_ref, rng))
+                .map(|(estimator, rng)| estimator.estimate(params, rng))
                 .collect();
             for (slot, proposal) in self.proposals.iter_mut().zip(outputs?) {
                 *slot = proposal;
@@ -653,39 +589,35 @@ impl RoundEngine {
                     self.estimators[w].estimate(params, &mut self.worker_rngs[w])?;
             }
         }
-        // Quantize-before-aggregate: under a codec the adversary observes
-        // (and the server aggregates) the dequantized proposals, exactly
-        // as a remote worker's encode → server decode would produce.
         if let Some(codec) = self.core.compression() {
             transform_vectors(&**codec, &mut self.proposals[..honest], params.as_slice());
         }
-        let propose_nanos = propose_start.elapsed().as_nanos();
+        Ok(start.elapsed().as_nanos())
+    }
+
+    /// One full-barrier round (sequential or threaded).
+    fn step_barrier(
+        &mut self,
+        params: &mut Vector,
+        round: usize,
+    ) -> Result<RoundRecord, TrainError> {
+        let round_start = Instant::now();
+        let honest = self.cluster.honest();
+        let propose_nanos = self.propose(params)?;
 
         // Phase 3: attack. The omniscient adversary observes everything,
         // including the true gradient when the workload exposes one.
         let attack_start = Instant::now();
         let true_gradient = self.probe_estimator().true_gradient(params);
-        let forged = forge_proposals(
-            &*self.attack,
-            &self.attack_name,
-            &mut self.attack_rng,
+        let forged = self.adversary.forge(
+            &self.core,
             &self.proposals[..honest],
             params,
             true_gradient.as_ref(),
-            byzantine,
-            self.cluster.workers(),
             round,
-            self.core.aggregator_name(),
-            self.dim,
         )?;
         for (slot, proposal) in self.proposals[honest..].iter_mut().zip(forged) {
             *slot = proposal;
-        }
-        // Byzantine proposals cross the same wire as honest ones: quantize
-        // them too (NaN/∞ payloads survive — the codecs escape non-finite
-        // blocks — so poisoning attacks stay faithful).
-        if let Some(codec) = self.core.compression() {
-            transform_vectors(&**codec, &mut self.proposals[honest..], params.as_slice());
         }
         let attack_nanos = attack_start.elapsed().as_nanos();
 
@@ -693,21 +625,19 @@ impl RoundEngine {
         // the paper's O(n²·d) server-side hot path, through the reused
         // workspace (no steady-state allocations).
         let probe = self.probe.as_deref().unwrap_or(&*self.estimators[0]);
-        let mut record =
-            self.core
-                .close_round(params, round, &self.proposals, true_gradient, Some(probe))?;
+        let mut record = self.core.close_round(
+            params,
+            round,
+            &self.proposals,
+            &self.identity_ids,
+            true_gradient,
+            Some(probe),
+        )?;
         record.propose_nanos = propose_nanos;
         record.attack_nanos = attack_nanos;
         record.round_nanos = round_start.elapsed().as_nanos();
-        observe_round(
-            &mut self.drift,
-            &mut *self.attack,
-            &mut record,
-            self.core.last_aggregate(),
-            &self.proposals,
-            &self.identity_ids,
-            honest,
-        );
+        self.adversary
+            .feed(&record, self.core.last_aggregate(), &self.identity_ids);
 
         // The simulated network (threaded strategy) charges the synchronous
         // barrier's communication time on top of the measured wall clock.
@@ -720,325 +650,114 @@ impl RoundEngine {
         Ok(record)
     }
 
-    /// One partial-quorum round: aggregate the fastest `quorum` arrivals,
-    /// carry the stragglers forward (bounded by `max_staleness`), honour the
+    /// One partial-quorum round: fresh arrivals race under the simulated
+    /// network into the [`Quorum`] machine, which closes on the fastest
+    /// `quorum` of them after the carried stragglers, honouring the
     /// adversary's timing.
     fn step_async(
         &mut self,
         params: &mut Vector,
         round: usize,
-        quorum: usize,
-        max_staleness: usize,
         network: NetworkModel,
     ) -> Result<RoundRecord, TrainError> {
         let round_start = Instant::now();
         let honest = self.cluster.honest();
-        let byzantine = self.cluster.byzantine();
-
-        // Phase 1+2: broadcast + propose — every honest worker estimates at
-        // `x_t`, consuming the same per-worker RNG streams (in the same
-        // order) as the barrier strategies, so `quorum = n` reproduces the
-        // Sequential trajectory bit-for-bit.
-        let propose_start = Instant::now();
-        for w in 0..honest {
-            self.proposals[w] = self.estimators[w].estimate(params, &mut self.worker_rngs[w])?;
-        }
-        // Quantize-before-aggregate, against this round's params (carried
-        // stragglers were transformed at their issue round and ride as-is,
-        // matching a server that decodes proposals at arrival).
-        if let Some(codec) = self.core.compression() {
-            transform_vectors(&**codec, &mut self.proposals[..honest], params.as_slice());
-        }
-        let propose_nanos = propose_start.elapsed().as_nanos();
-
-        // Carried stragglers are available immediately: they arrived after
-        // the previous round's quorum closed. (The carry step already
-        // enforced the staleness bound, so everything pending is usable.)
-        let mut candidates: Vec<Candidate> = self
-            .pending
-            .drain(..)
-            .map(|entry| Candidate {
-                tier: 0,
-                arrival: 0,
-                issued_round: entry.issued_round,
-                worker: entry.worker,
-                vector: entry.vector,
-            })
-            .collect();
+        let propose_nanos = self.propose(params)?;
 
         // Phase 3: attack — timing-aware. Racing and straggling adversaries
-        // forge now (observing every fresh honest proposal, as in the
-        // barrier engines); a last-to-respond adversary forges after the
-        // quorum-closing set is known.
+        // forge now, observing every fresh honest proposal as in the
+        // barrier strategies; a last-to-respond adversary holds its `f`
+        // slots back and forges once the rest of the quorum is known.
         let attack_start = Instant::now();
         let true_gradient = self.probe_estimator().true_gradient(params);
-        let timing = self.attack.timing();
-        let early_forged = match timing {
-            AttackTiming::Honest | AttackTiming::Straggle => {
-                let mut forged = forge_proposals(
-                    &*self.attack,
-                    &self.attack_name,
-                    &mut self.attack_rng,
-                    &self.proposals[..honest],
-                    params,
-                    true_gradient.as_ref(),
-                    byzantine,
-                    self.cluster.workers(),
-                    round,
-                    self.core.aggregator_name(),
-                    self.dim,
-                )?;
-                if let Some(codec) = self.core.compression() {
-                    transform_vectors(&**codec, &mut forged, params.as_slice());
-                }
-                Some(forged)
-            }
-            AttackTiming::LastToRespond => None,
-        };
-
-        // Fresh honest arrivals race under the simulated network. The
-        // proposal vectors are moved out of the scratch buffer (it is
-        // refilled at the top of the next round), so the async path avoids
-        // cloning the fresh gradients.
-        let mut max_fresh_arrival: u128 = 0;
-        for w in 0..honest {
-            let arrival = network.worker_round_trip_nanos(self.dim, &mut self.network_rng);
-            max_fresh_arrival = max_fresh_arrival.max(arrival);
-            candidates.push(Candidate {
-                tier: 1,
-                arrival,
-                issued_round: round,
-                worker: w,
-                vector: std::mem::replace(&mut self.proposals[w], Vector::zeros(0)),
-            });
-        }
-        if let Some(forged) = early_forged {
-            for (b, vector) in forged.into_iter().enumerate() {
-                let (tier, arrival) = if timing == AttackTiming::Straggle {
-                    // Deliberately after every honest proposal: out of the
-                    // quorum unless the server cannot close without
-                    // Byzantine slots (quorum > available others).
-                    (2, u128::MAX)
-                } else {
-                    (
-                        1,
-                        network.worker_round_trip_nanos(self.dim, &mut self.network_rng),
-                    )
-                };
-                candidates.push(Candidate {
-                    tier,
-                    arrival,
-                    issued_round: round,
-                    worker: honest + b,
-                    vector,
-                });
-            }
-        }
-
-        candidates.sort_by_key(Candidate::sort_key);
-
-        // Quorum selection. At most **one proposal per worker** enters a
-        // quorum — the paper's model has each worker contribute one vector
-        // per aggregation, and this is what caps the Byzantine share of a
-        // quorum at `f` (otherwise a Byzantine worker's carried straggler
-        // plus its fresh proposal could both land in one round and defeat a
-        // rule validated for `f` of `quorum`). The earliest arrival per
-        // worker wins; a worker's newer proposal stays in flight and
-        // competes again next round (or ages out).
-        let mut taken = vec![false; self.cluster.workers()];
-        let mut selected: Vec<Candidate> = Vec::with_capacity(quorum);
-        let want = match timing {
-            // The adversary watches the wire and slips its proposals in just
-            // before the quorum would close: only `quorum − f` legitimate
-            // arrivals are observed before the Byzantine workers respond.
-            AttackTiming::LastToRespond => quorum.saturating_sub(byzantine),
-            _ => quorum,
-        };
-        let mut rest: Vec<Candidate> = Vec::with_capacity(candidates.len());
-        for c in candidates.drain(..) {
-            if selected.len() < want && !taken[c.worker] {
-                taken[c.worker] = true;
-                selected.push(c);
-            } else {
-                rest.push(c);
-            }
-        }
-        candidates = rest;
-
-        // The arrival that closes the quorum so far (carried proposals cost
-        // nothing; a straggling Byzantine worker pulled in to fill the
-        // quorum arrives right after the slowest honest proposal).
-        let effective_arrival = |c: &Candidate| -> u128 {
-            match c.tier {
-                0 => 0,
-                2 => max_fresh_arrival,
-                _ => c.arrival,
-            }
-        };
-        let mut cutoff_nanos = selected.iter().map(&effective_arrival).max().unwrap_or(0);
-
-        // Move the selection into the reusable quorum buffers (no vector
-        // clones on this path).
-        self.quorum_vectors.clear();
-        self.quorum_meta.clear();
-        for c in selected {
-            self.quorum_meta.push((c.worker, c.issued_round));
-            self.quorum_vectors.push(c.vector);
-        }
-
-        if timing == AttackTiming::LastToRespond {
-            // The Byzantine workers respond with full knowledge of exactly
-            // the set about to be aggregated, timed at its closing arrival —
-            // the server never waits for them, so the quorum's network
-            // charge stays the observed cutoff, not the barrier's slowest
-            // worker.
-            let mut forged = forge_proposals(
-                &*self.attack,
-                &self.attack_name,
-                &mut self.attack_rng,
-                &self.quorum_vectors,
+        let timing = self.adversary.attack.timing();
+        let last = timing == AttackTiming::LastToRespond;
+        let reserved = if last { self.cluster.byzantine() } else { 0 };
+        self.quorum.open(round, reserved);
+        if !last {
+            let forged = self.adversary.forge(
+                &self.core,
+                &self.proposals[..honest],
                 params,
                 true_gradient.as_ref(),
-                byzantine,
-                self.cluster.workers(),
                 round,
-                self.core.aggregator_name(),
-                self.dim,
             )?;
-            if let Some(codec) = self.core.compression() {
-                transform_vectors(&**codec, &mut forged, params.as_slice());
+            for (slot, proposal) in self.proposals[honest..].iter_mut().zip(forged) {
+                *slot = proposal;
             }
-            for (b, vector) in forged.into_iter().enumerate() {
-                if self.quorum_vectors.len() >= quorum {
-                    break;
-                }
-                let worker = honest + b;
-                // A Byzantine worker already in the quorum (via a carried
-                // straggler) does not get a second proposal in.
-                if taken[worker] {
-                    continue;
-                }
-                taken[worker] = true;
-                self.quorum_meta.push((worker, round));
-                self.quorum_vectors.push(vector);
-            }
-            // If skipped duplicates left slots open, the quorum closes on
-            // the next legitimate arrivals instead (extending the cutoff).
-            if self.quorum_vectors.len() < quorum {
-                let mut rest: Vec<Candidate> = Vec::with_capacity(candidates.len());
-                for c in candidates.drain(..) {
-                    if self.quorum_vectors.len() < quorum && !taken[c.worker] {
-                        taken[c.worker] = true;
-                        cutoff_nanos = cutoff_nanos.max(effective_arrival(&c));
-                        self.quorum_meta.push((c.worker, c.issued_round));
-                        self.quorum_vectors.push(c.vector);
-                    } else {
-                        rest.push(c);
-                    }
-                }
-                candidates = rest;
-            }
+        }
+
+        // Fresh arrivals race under the simulated network: honest workers
+        // draw first, in worker order; a straggling Byzantine worker
+        // arrives right after the slowest honest proposal, so it only
+        // lands when the quorum cannot close without it. The vectors move
+        // out of the scratch buffer (it is refilled next round).
+        let mut draw = || network.worker_round_trip_nanos(self.dim, &mut self.network_rng);
+        let mut arrivals: Vec<(u128, usize)> = (0..honest).map(|w| (draw(), w)).collect();
+        let slowest = arrivals.iter().map(|&(at, _)| at).max().unwrap_or(0);
+        for w in honest..self.cluster.workers() {
+            let arrival = match timing {
+                AttackTiming::Honest => draw(),
+                AttackTiming::Straggle => slowest,
+                AttackTiming::LastToRespond => break,
+            };
+            arrivals.push((arrival, w));
+        }
+        arrivals.sort_unstable();
+        for (arrival, worker) in arrivals {
+            self.quorum.offer(Proposal {
+                worker,
+                issued_round: round,
+                arrival,
+                vector: std::mem::take(&mut self.proposals[worker]),
+            });
+        }
+        if last {
+            // The Byzantine workers respond with full knowledge of the set
+            // about to be aggregated, timed at its closing arrival — the
+            // server never waits for them.
+            let forged = self.adversary.forge(
+                &self.core,
+                self.quorum.vectors(),
+                params,
+                true_gradient.as_ref(),
+                round,
+            )?;
+            self.quorum
+                .fill_reserved(
+                    forged
+                        .into_iter()
+                        .zip(honest..)
+                        .map(|(vector, worker)| Proposal {
+                            worker,
+                            issued_round: round,
+                            arrival: 0,
+                            vector,
+                        }),
+                );
         }
         let attack_nanos = attack_start.elapsed().as_nanos();
-        debug_assert!(
-            {
-                let mut seen = vec![false; self.cluster.workers()];
-                self.quorum_meta
-                    .iter()
-                    .all(|&(w, _)| !std::mem::replace(&mut seen[w], true))
-            },
-            "a quorum must hold at most one proposal per worker (Byzantine share <= f)"
-        );
+        let stats = self.quorum.close();
 
-        // Quorum/staleness stats.
-        let quorum_size = self.quorum_meta.len();
-        let stale_in_quorum = self
-            .quorum_meta
-            .iter()
-            .filter(|&&(_, issued)| issued < round)
-            .count();
-        let max_staleness_in_quorum = self
-            .quorum_meta
-            .iter()
-            .map(|&(_, issued)| round - issued)
-            .max()
-            .unwrap_or(0);
-
-        // Aggregation input order: (issued_round, worker) — with a full
-        // fresh quorum this is plain worker order, matching the barrier
-        // engines' proposal layout.
-        let mut ordered: Vec<((usize, usize), Vector)> = self
-            .quorum_meta
-            .drain(..)
-            .zip(self.quorum_vectors.drain(..))
-            .collect();
-        ordered.sort_by_key(|&((worker, issued), _)| (issued, worker));
-        for (meta, vector) in ordered {
-            self.quorum_meta.push(meta);
-            self.quorum_vectors.push(vector);
-        }
-
-        // Hand the slot → worker map to the aggregation workspace so
-        // stateful rules (reputation weights) key their cross-round memory
-        // by worker id, not by quorum slot — slots are not stable worker
-        // identities when `quorum < n`.
-        self.round_workers.clear();
-        self.round_workers
-            .extend(self.quorum_meta.iter().map(|&(worker, _)| worker));
-        self.core.set_slot_workers(&self.round_workers);
-
-        // Unselected arrivals carry into the next round — unless carrying
-        // them would exceed the staleness bound, in which case the server
-        // drops them on the floor (and the metrics say so).
-        let mut dropped_stale = 0usize;
-        for c in candidates {
-            let staleness_next = round + 1 - c.issued_round;
-            if staleness_next > max_staleness {
-                dropped_stale += 1;
-            } else {
-                self.pending.push(PendingProposal {
-                    worker: c.worker,
-                    issued_round: c.issued_round,
-                    vector: c.vector,
-                });
-            }
-        }
-        let pending_carryover = self.pending.len();
-
-        // Phases 4–6: aggregate → step → record over the partial set,
-        // through the shared core. The rule was built for `quorum`
+        // Phases 4–6 over the quorum. The rule was built for `quorum`
         // proposals, so its preconditions (Krum's `2f + 2 < n`) hold
-        // against the quorum size; selection attribution is remapped
-        // through the quorum below.
+        // against the quorum size.
         let probe = self.probe.as_deref().unwrap_or(&*self.estimators[0]);
         let mut record = self.core.close_round(
             params,
             round,
-            &self.quorum_vectors,
+            self.quorum.vectors(),
+            self.quorum.workers(),
             true_gradient,
             Some(probe),
         )?;
         record.propose_nanos = propose_nanos;
         record.attack_nanos = attack_nanos;
-        record.round_nanos = round_start.elapsed().as_nanos();
-        record.selected_worker = record.selected_worker.map(|slot| self.quorum_meta[slot].0);
-        record.selected_byzantine = record.selected_worker.map(|w| w >= honest);
-        record.quorum_size = Some(quorum_size);
-        record.stale_in_quorum = Some(stale_in_quorum);
-        record.max_staleness_in_quorum = Some(max_staleness_in_quorum);
-        record.dropped_stale = Some(dropped_stale);
-        record.pending_carryover = Some(pending_carryover);
-        record.network_nanos = cutoff_nanos;
-        record.round_nanos += cutoff_nanos;
-        observe_round(
-            &mut self.drift,
-            &mut *self.attack,
-            &mut record,
-            self.core.last_aggregate(),
-            &self.quorum_vectors,
-            &self.round_workers,
-            honest,
-        );
+        stats.record(&mut record);
+        record.network_nanos = stats.cutoff;
+        record.round_nanos = round_start.elapsed().as_nanos() + stats.cutoff;
+        self.adversary
+            .feed(&record, self.core.last_aggregate(), self.quorum.workers());
         Ok(record)
     }
 
@@ -1072,21 +791,10 @@ impl RoundEngine {
     ) -> Result<RoundRecord, TrainError> {
         let round_start = Instant::now();
         let honest = self.cluster.honest();
-        let byzantine = self.cluster.byzantine();
         let n = self.cluster.workers();
-
-        // Phase 1+2: broadcast + propose — same per-worker RNG streams in
-        // the same order as every other strategy.
-        let propose_start = Instant::now();
-        for w in 0..honest {
-            self.proposals[w] = self.estimators[w].estimate(params, &mut self.worker_rngs[w])?;
-        }
-        // Quantize-before-aggregate: table entries hold dequantized
-        // vectors, refreshed against the params of their refresh round.
-        if let Some(codec) = self.core.compression() {
-            transform_vectors(&**codec, &mut self.proposals[..honest], params.as_slice());
-        }
-        let propose_nanos = propose_start.elapsed().as_nanos();
+        // Table entries hold dequantized vectors, refreshed against the
+        // params of their refresh round.
+        let propose_nanos = self.propose(params)?;
 
         // First reuse round: size the table (the only allocating round).
         let cold_start = self.latest.len() != n;
@@ -1100,27 +808,15 @@ impl RoundEngine {
         // Phase 3: attack — timing-aware, as in `step_async`.
         let attack_start = Instant::now();
         let true_gradient = self.probe_estimator().true_gradient(params);
-        let timing = self.attack.timing();
+        let timing = self.adversary.attack.timing();
         let early_forged = match timing {
-            AttackTiming::Honest | AttackTiming::Straggle => {
-                let mut forged = forge_proposals(
-                    &*self.attack,
-                    &self.attack_name,
-                    &mut self.attack_rng,
-                    &self.proposals[..honest],
-                    params,
-                    true_gradient.as_ref(),
-                    byzantine,
-                    n,
-                    round,
-                    self.core.aggregator_name(),
-                    self.dim,
-                )?;
-                if let Some(codec) = self.core.compression() {
-                    transform_vectors(&**codec, &mut forged, params.as_slice());
-                }
-                Some(forged)
-            }
+            AttackTiming::Honest | AttackTiming::Straggle => Some(self.adversary.forge(
+                &self.core,
+                &self.proposals[..honest],
+                params,
+                true_gradient.as_ref(),
+                round,
+            )?),
             AttackTiming::LastToRespond => None,
         };
 
@@ -1209,22 +905,13 @@ impl RoundEngine {
                 .filter(|&w| refresh[w])
                 .map(|w| self.latest[w].clone())
                 .collect();
-            let mut forged = forge_proposals(
-                &*self.attack,
-                &self.attack_name,
-                &mut self.attack_rng,
+            let forged = self.adversary.forge(
+                &self.core,
                 &observed,
                 params,
                 true_gradient.as_ref(),
-                byzantine,
-                n,
                 round,
-                self.core.aggregator_name(),
-                self.dim,
             )?;
-            if let Some(codec) = self.core.compression() {
-                transform_vectors(&**codec, &mut forged, params.as_slice());
-            }
             for (b, vector) in forged.into_iter().enumerate() {
                 let w = honest + b;
                 if refresh[w] {
@@ -1256,14 +943,17 @@ impl RoundEngine {
             self.core.set_generations(&self.generations);
         }
         let probe = self.probe.as_deref().unwrap_or(&*self.estimators[0]);
-        let mut record =
-            self.core
-                .close_round(params, round, &self.latest, true_gradient, Some(probe))?;
+        let mut record = self.core.close_round(
+            params,
+            round,
+            &self.latest,
+            &self.identity_ids,
+            true_gradient,
+            Some(probe),
+        )?;
         record.propose_nanos = propose_nanos;
         record.attack_nanos = attack_nanos;
         record.round_nanos = round_start.elapsed().as_nanos();
-        // The table is in worker order, so the selection index is already a
-        // worker id and `close_round` attributed Byzantine selection right.
         record.quorum_size = Some(refreshed);
         record.stale_in_quorum = Some(stale_in_quorum);
         record.max_staleness_in_quorum = Some(max_staleness_in_quorum);
@@ -1271,15 +961,8 @@ impl RoundEngine {
         record.pending_carryover = Some(0);
         record.network_nanos = cutoff_nanos;
         record.round_nanos += cutoff_nanos;
-        observe_round(
-            &mut self.drift,
-            &mut *self.attack,
-            &mut record,
-            self.core.last_aggregate(),
-            &self.latest,
-            &self.identity_ids,
-            honest,
-        );
+        self.adversary
+            .feed(&record, self.core.last_aggregate(), &self.identity_ids);
         Ok(record)
     }
 
@@ -1289,13 +972,13 @@ impl RoundEngine {
             format!(
                 "{} vs {} (n={}, f={}, d={})",
                 self.core.aggregator_name(),
-                self.attack_name,
+                self.adversary.name,
                 self.cluster.workers(),
                 self.cluster.byzantine(),
                 self.dim
             ),
             self.core.aggregator_name().to_string(),
-            self.attack_name.clone(),
+            self.adversary.name.clone(),
             self.cluster.workers(),
             self.cluster.byzantine(),
         )

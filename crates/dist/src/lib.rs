@@ -10,15 +10,20 @@
 //!
 //! One [`RoundEngine`] implements that protocol as a
 //! broadcast → propose → attack → aggregate → step → record pipeline,
-//! parameterized by an [`ExecutionStrategy`]; two thin trainer facades pick
-//! the strategy:
+//! parameterized by an [`ExecutionStrategy`]:
 //!
-//! * [`SyncTrainer`] — [`ExecutionStrategy::Sequential`], the reference
-//!   engine;
-//! * [`ThreadedTrainer`] — [`ExecutionStrategy::Threaded`]: honest worker
-//!   gradients fan out over the `rayon` pool and a simulated
-//!   [`NetworkModel`] (per-message latency + bandwidth) is charged to the
-//!   round timings, for the cost-of-resilience experiments (E8).
+//! * [`ExecutionStrategy::Sequential`] — the reference engine;
+//! * [`ExecutionStrategy::Threaded`] — honest worker gradients fan out over
+//!   the `rayon` pool and a simulated [`NetworkModel`] (per-message latency
+//!   and bandwidth) is charged to the round timings, for the
+//!   cost-of-resilience experiments (E8);
+//! * [`ExecutionStrategy::AsyncQuorum`] — partial-quorum rounds under the
+//!   simulated network.
+//!
+//! Two pieces are shared with the networked server (`krum-server`): the
+//! [`Quorum`] machine, which selects, carries, drops and orders the
+//! proposals of a partial quorum, and [`RoundCore`], which closes a round
+//! (aggregate → step → record).
 //!
 //! The engine is a deterministic function of [`TrainingConfig::seed`] —
 //! worker, attack and network randomness are independent ChaCha streams
@@ -39,24 +44,21 @@ mod drift;
 mod engine;
 mod error;
 mod network;
+mod quorum;
 mod round_core;
-mod sync;
-mod threaded;
 
 pub use config::{ClusterSpec, LearningRateSchedule, TrainingConfig};
-pub use drift::DriftTracker;
 pub use engine::{stream_rng, ExecutionStrategy, RoundEngine, ATTACK_STREAM};
 pub use error::TrainError;
 pub use network::{LatencyModel, NetworkModel, LATENCY_MODEL_NAMES};
+pub use quorum::{Proposal, Quorum, QuorumStats};
 pub use round_core::{AccuracyProbe, RoundCore};
-pub use sync::SyncTrainer;
-pub use threaded::ThreadedTrainer;
 
 /// Convenience prelude for the distributed-training crate.
 pub mod prelude {
     pub use crate::{
-        ClusterSpec, DriftTracker, ExecutionStrategy, LatencyModel, LearningRateSchedule,
-        NetworkModel, RoundEngine, SyncTrainer, ThreadedTrainer, TrainError, TrainingConfig,
+        ClusterSpec, ExecutionStrategy, LatencyModel, LearningRateSchedule, NetworkModel,
+        RoundEngine, TrainError, TrainingConfig,
     };
 }
 
@@ -92,11 +94,30 @@ mod tests {
         }
     }
 
+    /// A sequential engine with no dedicated probe.
+    fn sequential_engine(
+        cluster: ClusterSpec,
+        aggregator: Box<dyn krum_core::Aggregator>,
+        attack: Box<dyn krum_attacks::Attack>,
+        estimators: Vec<Box<dyn GradientEstimator>>,
+        config: TrainingConfig,
+    ) -> Result<RoundEngine, TrainError> {
+        RoundEngine::new(
+            cluster,
+            aggregator,
+            attack,
+            estimators,
+            None,
+            config,
+            ExecutionStrategy::Sequential,
+        )
+    }
+
     #[test]
-    fn sync_trainer_converges_on_clean_quadratic() {
+    fn sequential_engine_converges_on_clean_quadratic() {
         let dim = 8;
         let cluster = ClusterSpec::new(5, 0).unwrap();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = sequential_engine(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
@@ -117,11 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn sync_trainer_runs_are_reproducible() {
+    fn sequential_engine_runs_are_reproducible() {
         let dim = 6;
         let cluster = ClusterSpec::new(7, 2).unwrap();
         let run = || {
-            let mut trainer = SyncTrainer::new(
+            let mut trainer = sequential_engine(
                 cluster,
                 Box::new(Krum::new(7, 2).unwrap()),
                 Box::new(SignFlip::new(3.0).unwrap()),
@@ -138,7 +159,7 @@ mod tests {
     fn run_round_advances_from_given_params() {
         let dim = 4;
         let cluster = ClusterSpec::new(5, 1).unwrap();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = sequential_engine(
             cluster,
             Box::new(Krum::new(5, 1).unwrap()),
             Box::new(NoAttack::new()),
@@ -161,7 +182,7 @@ mod tests {
         let dim = 4;
         let cluster = ClusterSpec::new(5, 1).unwrap();
         // Wrong estimator count.
-        assert!(SyncTrainer::new(
+        assert!(sequential_engine(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
@@ -172,7 +193,7 @@ mod tests {
         // Mismatched estimator dimensions.
         let mut mixed = estimators(3, dim, 0.1);
         mixed.extend(estimators(1, dim + 1, 0.1));
-        assert!(SyncTrainer::new(
+        assert!(sequential_engine(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
@@ -185,26 +206,12 @@ mod tests {
             known_optimum: Some(Vector::zeros(dim + 2)),
             ..config(5, dim)
         };
-        assert!(SyncTrainer::new(
+        assert!(sequential_engine(
             cluster,
             Box::new(Average::new()),
             Box::new(NoAttack::new()),
             estimators(4, dim, 0.1),
             bad_config,
-        )
-        .is_err());
-        // Threaded engine wants honest + 1 estimators.
-        let network = NetworkModel {
-            latency: LatencyModel::Constant { nanos: 1_000 },
-            nanos_per_byte: 0.1,
-        };
-        assert!(ThreadedTrainer::new(
-            cluster,
-            Box::new(Average::new()),
-            Box::new(NoAttack::new()),
-            estimators(4, dim, 0.1),
-            config(5, dim),
-            network,
         )
         .is_err());
     }
@@ -220,7 +227,7 @@ mod tests {
             },
             nanos_per_byte: 0.5,
         };
-        let mut sequential = SyncTrainer::new(
+        let mut sequential = sequential_engine(
             cluster,
             Box::new(Krum::new(6, 1).unwrap()),
             Box::new(SignFlip::new(2.0).unwrap()),
@@ -228,13 +235,14 @@ mod tests {
             config(25, dim),
         )
         .unwrap();
-        let mut threaded = ThreadedTrainer::new(
+        let mut threaded = RoundEngine::new(
             cluster,
             Box::new(Krum::new(6, 1).unwrap()),
             Box::new(SignFlip::new(2.0).unwrap()),
-            estimators(6, dim, 0.3),
+            estimators(5, dim, 0.3),
+            estimators(1, dim, 0.3).pop(),
             config(25, dim),
-            network,
+            ExecutionStrategy::Threaded { network },
         )
         .unwrap();
         let start = Vector::filled(dim, 1.5);
@@ -244,7 +252,7 @@ mod tests {
         // The network charge only widens the round timings.
         assert!(thr_history.mean_round_nanos() >= seq_history.mean_round_nanos());
         assert!(thr_history.mean_round_nanos() >= 2_000.0);
-        assert_eq!(threaded.network(), network);
+        assert_eq!(threaded.strategy(), ExecutionStrategy::Threaded { network });
         assert_eq!(threaded.cluster().honest(), 5);
         assert_eq!(threaded.dim(), dim);
         // Per-phase accounting: the sequential engine charges no network
@@ -288,42 +296,6 @@ mod tests {
         let history = engine.new_history();
         assert_eq!(history.workers, 5);
         assert!(history.aggregator.contains("krum"));
-    }
-
-    #[test]
-    fn engine_strategies_match_trainer_trajectories() {
-        // The same RoundEngine drives both facades; a bare engine with the
-        // Threaded strategy must reproduce the ThreadedTrainer trajectory.
-        let dim = 6;
-        let cluster = ClusterSpec::new(7, 2).unwrap();
-        let network = NetworkModel {
-            latency: LatencyModel::Constant { nanos: 500 },
-            nanos_per_byte: 0.2,
-        };
-        let mut engine = RoundEngine::new(
-            cluster,
-            Box::new(Krum::new(7, 2).unwrap()),
-            Box::new(SignFlip::new(2.5).unwrap()),
-            estimators(5, dim, 0.4),
-            Some(estimators(1, dim, 0.4).pop().unwrap()),
-            config(12, dim),
-            ExecutionStrategy::Threaded { network },
-        )
-        .unwrap();
-        let mut trainer = ThreadedTrainer::new(
-            cluster,
-            Box::new(Krum::new(7, 2).unwrap()),
-            Box::new(SignFlip::new(2.5).unwrap()),
-            estimators(6, dim, 0.4),
-            config(12, dim),
-            network,
-        )
-        .unwrap();
-        let start = Vector::filled(dim, 1.0);
-        let (a, _) = engine.run(start.clone()).unwrap();
-        let (b, _) = trainer.run(start).unwrap();
-        assert_eq!(a, b);
-        assert!(trainer.engine_mut().strategy().network().is_some());
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -713,8 +685,8 @@ mod tests {
     /// paper's model — one vector per worker per aggregation), so the
     /// Byzantine share of a quorum is structurally capped at `f` and Krum's
     /// re-validated `2f + 2 < quorum` precondition actually holds. The
-    /// per-worker uniqueness is enforced by a `debug_assert` inside
-    /// `step_async` (active in this test build); behaviourally, `ConstantByz`
+    /// `Quorum` machine's own tests check the cap exhaustively on small
+    /// scopes; behaviourally, `ConstantByz`
     /// forms a 0-diameter Byzantine cluster across rounds, so any quorum
     /// that ever held 2f = 4 of its vectors would hand Krum(7, 2) a 0-score
     /// cluster (neighbours = 3) that wins the argmin outright.
@@ -776,9 +748,8 @@ mod tests {
 
     /// Regression: when a respond-last round wants to fill the quorum but a
     /// carried Byzantine straggler from the previous round already holds
-    /// that worker's slot, the fill must skip it (per-worker cap — enforced
-    /// by the engine's debug_assert, active in this build) and close the
-    /// quorum on the next legitimate arrivals instead.
+    /// that worker's slot, the fill must skip it (the per-worker cap) and
+    /// close the quorum on the next legitimate arrivals instead.
     #[test]
     fn respond_last_fill_respects_the_per_worker_cap_for_carried_stragglers() {
         let mut engine = async_engine(
@@ -882,7 +853,7 @@ mod tests {
     #[test]
     fn poisoned_round_is_a_structured_engine_error() {
         let dim = 4;
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = sequential_engine(
             ClusterSpec::new(6, 2).unwrap(),
             Box::new(Average::new()),
             Box::new(krum_attacks::NonFinite::new()),
@@ -897,7 +868,7 @@ mod tests {
         );
         assert!(err.to_string().contains("poisoned round"));
         // Krum filters the same poison and completes finitely.
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = sequential_engine(
             ClusterSpec::new(7, 2).unwrap(),
             Box::new(Krum::new(7, 2).unwrap()),
             Box::new(krum_attacks::NonFinite::new()),

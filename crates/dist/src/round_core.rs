@@ -24,6 +24,7 @@ use krum_models::GradientEstimator;
 use krum_tensor::Vector;
 
 use crate::config::{ClusterSpec, TrainingConfig};
+use crate::drift::DriftTracker;
 use crate::error::TrainError;
 
 /// Callback measuring held-out accuracy of a parameter vector.
@@ -43,6 +44,8 @@ pub struct RoundCore {
     ctx: AggregationContext,
     accuracy_probe: Option<AccuracyProbe>,
     compression: Option<Arc<dyn GradientCodec>>,
+    /// Fills the drift columns of every closed round.
+    drift: DriftTracker,
 }
 
 impl RoundCore {
@@ -81,6 +84,7 @@ impl RoundCore {
             ctx: AggregationContext::new(),
             accuracy_probe: None,
             compression: None,
+            drift: DriftTracker::new(),
         })
     }
 
@@ -167,12 +171,10 @@ impl RoundCore {
         self.ctx.set_stateful_state(state);
     }
 
-    /// Declares the worker id behind each proposal slot of the next
-    /// [`close_round`](RoundCore::close_round), so per-worker rule state
-    /// (reputation weights) follows workers through partial quorums. Not
-    /// needed when the proposal slice is in worker order.
-    pub fn set_slot_workers(&mut self, workers: &[usize]) {
-        self.ctx.set_slot_workers(workers);
+    /// Continues the drift columns of a resumed run: `displacement` is the
+    /// last recorded `attacker_displacement` (0 when none was recorded).
+    pub fn resume_drift(&mut self, displacement: f64) {
+        self.drift = DriftTracker::resume(displacement);
     }
 
     /// Whether `round` is an evaluation round under the configured cadence
@@ -186,11 +188,12 @@ impl RoundCore {
     /// applies the SGD step `x ← x − γ_t · F(…)` to `params` in place, and
     /// returns the round's record.
     ///
-    /// `true_gradient` (when the workload exposes one) fills the
-    /// alignment/gradient-norm metrics; `probe` serves the loss measurement
-    /// on evaluation rounds. The record's `selected_worker` is the raw
-    /// aggregation index — when the proposal slice is not in worker order
-    /// (partial quorums), the caller remaps it.
+    /// `workers[i]` is the worker behind `proposals[i]` (workers `>= n − f`
+    /// are Byzantine). Stateful rules key their memory by it, the record's
+    /// `selected_worker`/`selected_byzantine` name it, and the drift
+    /// columns split the proposals by it. `true_gradient` (when the
+    /// workload exposes one) fills the alignment/gradient-norm metrics;
+    /// `probe` serves the loss measurement on evaluation rounds.
     ///
     /// Timing fields beyond `aggregation_nanos` (propose/attack/network/
     /// round wall-clock, wire bytes) are the caller's to fill: only the
@@ -198,7 +201,8 @@ impl RoundCore {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError`] when the aggregation rule fails, or
+    /// Returns [`TrainError::InvalidConfig`] when `workers` and `proposals`
+    /// differ in length, [`TrainError`] when the aggregation rule fails, or
     /// [`TrainError::PoisonedRound`] when the aggregate contains NaN —
     /// stepping on it would silently corrupt every later round. (±∞ is left
     /// to the divergence reporting: overflowing runs are a legitimate
@@ -208,10 +212,19 @@ impl RoundCore {
         params: &mut Vector,
         round: usize,
         proposals: &[Vector],
+        workers: &[usize],
         true_gradient: Option<Vector>,
         probe: Option<&dyn GradientEstimator>,
     ) -> Result<RoundRecord, TrainError> {
-        self.close_round_inner(params, round, proposals, true_gradient, probe, None)
+        self.close_round_inner(
+            params,
+            round,
+            proposals,
+            workers,
+            true_gradient,
+            probe,
+            None,
+        )
     }
 
     /// [`close_round`](RoundCore::close_round) with a caller-supplied
@@ -227,12 +240,14 @@ impl RoundCore {
     /// # Errors
     ///
     /// As [`close_round`](RoundCore::close_round).
+    #[allow(clippy::too_many_arguments)]
     pub fn close_round_with(
         &mut self,
         aggregator: &dyn Aggregator,
         params: &mut Vector,
         round: usize,
         proposals: &[Vector],
+        workers: &[usize],
         true_gradient: Option<Vector>,
         probe: Option<&dyn GradientEstimator>,
     ) -> Result<RoundRecord, TrainError> {
@@ -240,22 +255,33 @@ impl RoundCore {
             params,
             round,
             proposals,
+            workers,
             true_gradient,
             probe,
             Some(aggregator),
         )
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn close_round_inner(
         &mut self,
         params: &mut Vector,
         round: usize,
         proposals: &[Vector],
+        workers: &[usize],
         true_gradient: Option<Vector>,
         probe: Option<&dyn GradientEstimator>,
         override_rule: Option<&dyn Aggregator>,
     ) -> Result<RoundRecord, TrainError> {
+        if workers.len() != proposals.len() {
+            return Err(TrainError::config(format!(
+                "{} proposals but {} worker ids",
+                proposals.len(),
+                workers.len()
+            )));
+        }
         let aggregator = override_rule.unwrap_or(&*self.aggregator);
+        self.ctx.set_slot_workers(workers);
         let aggregation_start = Instant::now();
         aggregator.aggregate_in(&mut self.ctx, proposals)?;
         let aggregation_nanos = aggregation_start.elapsed().as_nanos();
@@ -281,10 +307,13 @@ impl RoundCore {
         }
 
         // Record.
+        let honest = self.cluster.honest();
         let mut record = RoundRecord::new(round, aggregation.value.norm(), learning_rate);
         record.aggregation_nanos = aggregation_nanos;
-        record.selected_worker = aggregation.selected_index();
-        record.selected_byzantine = record.selected_worker.map(|w| w >= self.cluster.honest());
+        record.selected_worker = aggregation
+            .selected_index()
+            .and_then(|slot| workers.get(slot).copied());
+        record.selected_byzantine = record.selected_worker.map(|w| w >= honest);
         record.reputation_spread = self
             .ctx
             .stateful_state()
@@ -304,6 +333,14 @@ impl RoundCore {
                 record.accuracy = accuracy(params);
             }
         }
+        self.drift.observe(
+            &mut record,
+            &aggregation.value,
+            proposals,
+            workers,
+            honest,
+            learning_rate,
+        );
         Ok(record)
     }
 }
@@ -347,7 +384,7 @@ mod tests {
         let proposals = vec![Vector::filled(3, 1.0); 5];
         let mut params = Vector::filled(3, 2.0);
         let record = core
-            .close_round(&mut params, 0, &proposals, None, None)
+            .close_round(&mut params, 0, &proposals, &[0, 1, 2, 3, 4], None, None)
             .unwrap();
         // x ← x − 0.5 · (1, 1, 1).
         assert!(params.distance(&Vector::filled(3, 1.5)) < 1e-12);
@@ -369,22 +406,28 @@ mod tests {
         // Only 5 of 6 proposals survived a crash: the configured rule was
         // built for n=6 and rejects the arity…
         let proposals = vec![Vector::filled(3, 1.0); 5];
+        let workers = [0, 1, 2, 3, 5];
         let mut params = Vector::filled(3, 2.0);
         assert!(core
-            .close_round(&mut params, 0, &proposals, None, None)
+            .close_round(&mut params, 0, &proposals, &workers, None, None)
             .is_err());
         // …but the same rule rebuilt at the surviving arity closes the
         // round through the shared workspace, schedule and record path.
         let degraded = Krum::new(5, 1).unwrap();
         let record = core
-            .close_round_with(&degraded, &mut params, 0, &proposals, None, None)
+            .close_round_with(&degraded, &mut params, 0, &proposals, &workers, None, None)
             .unwrap();
         assert!(params.distance(&Vector::filled(3, 1.5)) < 1e-12);
         assert_eq!(record.round, 0);
+        // Krum picks the first of the identical proposals: slot 0, worker 0.
+        assert_eq!(record.selected_worker, Some(0));
         assert_eq!(record.selected_byzantine, Some(false));
         // The configured rule is untouched for the next full-strength round.
         let full = vec![Vector::filled(3, 1.0); 6];
-        assert!(core.close_round(&mut params, 1, &full, None, None).is_ok());
+        let all = [0, 1, 2, 3, 4, 5];
+        assert!(core
+            .close_round(&mut params, 1, &full, &all, None, None)
+            .is_ok());
     }
 
     #[test]
@@ -396,11 +439,42 @@ mod tests {
         let mut params = Vector::filled(2, 1.0);
         let before = params.clone();
         let err = core
-            .close_round(&mut params, 1, &proposals, None, None)
+            .close_round(&mut params, 1, &proposals, &[0, 1, 2, 3], None, None)
             .unwrap_err();
         assert!(matches!(err, TrainError::PoisonedRound { round: 1, .. }));
         // The poisoned step was not applied.
         assert_eq!(params, before);
+    }
+
+    #[test]
+    fn close_round_names_the_selected_worker_and_fills_the_drift_columns() {
+        let cluster = ClusterSpec::new(5, 1).unwrap();
+        let mut core =
+            RoundCore::new(cluster, Box::new(Krum::new(5, 1).unwrap()), config(4, 1), 1).unwrap();
+        // Proposals out of worker order, Byzantine worker 4 first. Krum's
+        // two-nearest scores on the line pick 1.1 — slot 1, worker 0.
+        let proposals = [0.0, 1.1, 1.0, 1.2, 1.35].map(|x| Vector::filled(1, x));
+        let workers = [4, 0, 2, 1, 3];
+        let mut params = Vector::filled(1, 2.0);
+        let record = core
+            .close_round(&mut params, 0, &proposals, &workers, None, None)
+            .unwrap();
+        assert_eq!(record.selected_worker, Some(0));
+        assert_eq!(record.selected_byzantine, Some(false));
+        // μ_honest = 1.1625 and F = 1.1: ‖F − μ‖ = 0.0625, all of it towards
+        // the Byzantine side, applied at γ = 0.5.
+        assert!((record.dist_to_honest_mean.unwrap() - 0.0625).abs() < 1e-12);
+        assert!((record.attacker_displacement.unwrap() - 0.03125).abs() < 1e-12);
+        // A resumed run continues the displacement series.
+        core.resume_drift(1.0);
+        let record = core
+            .close_round(&mut params, 1, &proposals, &workers, None, None)
+            .unwrap();
+        assert!((record.attacker_displacement.unwrap() - 1.03125).abs() < 1e-12);
+        // The worker map must cover every proposal.
+        assert!(core
+            .close_round(&mut params, 2, &proposals, &workers[..4], None, None)
+            .is_err());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! * a JSON file through [`Scenario::from_json`] (what `krum run` does),
 //! * the fluent [`ScenarioBuilder`],
-//! * the legacy hand-wired `SyncTrainer`/`ThreadedTrainer` construction
-//!   (the scenario wires the same `RoundEngine` underneath).
+//! * a hand-wired `RoundEngine` (the scenario wires the same engine
+//!   underneath).
 //!
 //! Validation is front-loaded: [`ScenarioSpec::validate`] cross-checks every
 //! constraint (Krum's `2f + 2 < n`, attack and workload parameter ranges,

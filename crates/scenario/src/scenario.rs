@@ -13,10 +13,10 @@ use crate::spec::{InitSpec, ScenarioSpec};
 /// [`RoundEngine`] built from it and the initial parameter vector.
 ///
 /// `Scenario` is the one entry point from "a description of an experiment"
-/// to "a trained model and its metrics": it owns exactly the same engine a
-/// hand-wired `SyncTrainer`/`ThreadedTrainer` would own, so the parameter
-/// trajectory is bit-identical to the legacy construction path for the same
-/// spec fields, and running it adds no per-round work on top of the engine.
+/// to "a trained model and its metrics": it owns exactly the engine a
+/// hand-wired [`RoundEngine::new`] would build, so the parameter trajectory
+/// is bit-identical to hand wiring for the same spec fields, and running it
+/// adds no per-round work on top of the engine.
 pub struct Scenario {
     spec: ScenarioSpec,
     engine: RoundEngine,
@@ -162,7 +162,8 @@ mod tests {
     use krum_attacks::AttackSpec;
     use krum_core::RuleSpec;
     use krum_dist::{
-        ClusterSpec, LatencyModel, LearningRateSchedule, NetworkModel, SyncTrainer, TrainingConfig,
+        ClusterSpec, ExecutionStrategy, LatencyModel, LearningRateSchedule, NetworkModel,
+        TrainingConfig,
     };
     use krum_models::{DataSpec, EstimatorSpec, ModelSpec};
 
@@ -186,22 +187,23 @@ mod tests {
     }
 
     #[test]
-    fn scenario_run_matches_hand_wired_sync_trainer() {
+    fn scenario_run_matches_a_hand_wired_engine() {
         let scenario = Scenario::from_spec(spec()).unwrap();
         assert_eq!(scenario.dim(), 6);
         assert_eq!(scenario.start(), &Vector::filled(6, 1.5));
         let report = scenario.run().unwrap();
 
-        // Legacy path: the same components assembled by hand.
+        // The same components assembled by hand.
         let estimators = EstimatorSpec::GaussianQuadratic { dim: 6, sigma: 0.3 }
             .build(7, 7)
             .unwrap()
             .estimators;
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             ClusterSpec::new(9, 2).unwrap(),
             RuleSpec::Krum.build(9, 2).unwrap(),
             AttackSpec::SignFlip { scale: 3.0 }.build(6).unwrap(),
             estimators,
+            None,
             TrainingConfig {
                 rounds: 25,
                 schedule: LearningRateSchedule::Constant { gamma: 0.2 },
@@ -209,6 +211,7 @@ mod tests {
                 eval_every: 5,
                 known_optimum: Some(Vector::zeros(6)),
             },
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         let (legacy_params, legacy_history) = trainer.run(Vector::filled(6, 1.5)).unwrap();

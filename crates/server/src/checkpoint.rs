@@ -27,6 +27,7 @@ use krum_wire::{read_frame, write_frame, CarryOver, Frame};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ServerError;
+use crate::job::close_policy;
 
 /// Periodic checkpointing for a served job: where snapshots go and how
 /// often they are taken.
@@ -135,7 +136,8 @@ pub(crate) fn write_checkpoint(
 /// Returns [`ServerError::Io`] when the file is unreadable,
 /// [`ServerError::Wire`] when the frame is torn/corrupt/oversized, and
 /// [`ServerError::Checkpoint`] when the frame or its sidecar is not a
-/// well-formed snapshot.
+/// well-formed snapshot — including a carry-over entry the job could not
+/// have carried into its resume round.
 pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, ServerError> {
     let bytes = fs::read(path)?;
     let mut cursor = bytes.as_slice();
@@ -188,6 +190,37 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, ServerError> {
             state.spec.rounds
         )));
     }
+    // The carry-over queue re-enters the quorum on resume: every entry must
+    // name a roster worker, match the model dimension, and be a proposal
+    // the close of round `round − 1` could have carried — issued before
+    // `round`, and no staler than the job's bound.
+    let n = state.spec.cluster.workers();
+    let (_, max_staleness, _) = close_policy(&state.spec.execution, n);
+    for carried in &pending {
+        let problem = if carried.worker as usize >= n {
+            format!("is outside the {n}-worker roster")
+        } else if carried.proposal.len() != dim {
+            format!("has dimension {}, spec says {dim}", carried.proposal.len())
+        } else if carried.issued_round >= round {
+            format!(
+                "was issued in round {}, not before the resume round {round}",
+                carried.issued_round
+            )
+        } else if round - carried.issued_round > max_staleness as u64 {
+            format!(
+                "was issued in round {}, staler at round {round} than the \
+                 bound of {max_staleness} rounds",
+                carried.issued_round
+            )
+        } else {
+            continue;
+        };
+        return Err(ServerError::Checkpoint(format!(
+            "{}: a carried proposal of worker {} {problem}",
+            path.display(),
+            carried.worker
+        )));
+    }
     Ok(ResumeState {
         id: job,
         start_round: round,
@@ -234,12 +267,21 @@ pub(crate) fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, Server
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Server;
+    use krum_dist::{LatencyModel, NetworkModel};
     use krum_scenario::ScenarioBuilder;
 
+    /// An async-quorum job (quorum 7 of 9, staleness bound 2), so a
+    /// snapshot can legitimately carry proposals.
     fn spec() -> ScenarioSpec {
+        let network = NetworkModel {
+            latency: LatencyModel::Constant { nanos: 0 },
+            nanos_per_byte: 0.0,
+        };
         ScenarioBuilder::new(9, 2)
             .name("ckpt-test")
             .rounds(6)
+            .async_quorum(7, 2, network)
             .spec()
             .unwrap()
     }
@@ -312,6 +354,85 @@ mod tests {
 
         assert_eq!(list_checkpoints(&dir).unwrap(), vec![(0, config.path(0))]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a round-3 snapshot carrying `carried` and checks that both
+    /// `read_checkpoint` and `Server::resume` refuse it structurally.
+    fn assert_carry_refused(tag: &str, carried: CarryOver) {
+        let dir = dir(tag);
+        let config = CheckpointConfig {
+            dir: dir.clone(),
+            every: 1,
+        };
+        let spec = spec();
+        let mut history = krum_metrics::TrainingHistory::new("t", "krum", "none", 9, 2);
+        for r in 0..3 {
+            history.push(krum_metrics::RoundRecord::new(r, 1.0, 0.1));
+        }
+        let params = Vector::zeros(spec.dim().unwrap());
+        write_checkpoint(&config, 4, 3, &params, &[carried], &spec, &history, 0, None).unwrap();
+        let err = read_checkpoint(&config.path(4)).unwrap_err();
+        assert!(matches!(err, ServerError::Checkpoint(_)), "{tag}: {err}");
+        assert!(matches!(
+            Server::resume("127.0.0.1:0", &dir),
+            Err(ServerError::Checkpoint(_))
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_carried_worker_outside_the_roster_is_refused() {
+        let dim = spec().dim().unwrap();
+        assert_carry_refused(
+            "carry-worker",
+            CarryOver {
+                worker: 99,
+                issued_round: 2,
+                proposal: vec![0.5; dim],
+            },
+        );
+    }
+
+    #[test]
+    fn a_carried_proposal_issued_at_or_after_the_resume_round_is_refused() {
+        let dim = spec().dim().unwrap();
+        for issued_round in [3, 7] {
+            assert_carry_refused(
+                &format!("carry-future-{issued_round}"),
+                CarryOver {
+                    worker: 8,
+                    issued_round,
+                    proposal: vec![0.5; dim],
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn a_carried_proposal_of_the_wrong_dimension_is_refused() {
+        assert_carry_refused(
+            "carry-dim",
+            CarryOver {
+                worker: 8,
+                issued_round: 2,
+                proposal: vec![0.5; 3],
+            },
+        );
+    }
+
+    #[test]
+    fn a_carried_proposal_staler_than_the_bound_is_refused() {
+        let dim = spec().dim().unwrap();
+        // Resuming at round 3 under a bound of 2: round 1 is the oldest
+        // issue a carried proposal can have.
+        assert_carry_refused(
+            "carry-stale",
+            CarryOver {
+                worker: 8,
+                issued_round: 0,
+                proposal: vec![0.5; dim],
+            },
+        );
     }
 
     #[test]

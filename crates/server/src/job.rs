@@ -5,25 +5,22 @@
 //! per-connection reader threads; each round it
 //!
 //! 1. **broadcasts** `x_t` to every live honest worker,
-//! 2. **collects** proposals in *real arrival order*, seeding the round
-//!    with the carried stragglers of earlier rounds (they are already at
-//!    the server, so they outrank every fresh arrival — exactly the
-//!    in-process async engine's tier-0 semantics),
+//! 2. **collects** proposals in *real arrival order* into the job's
+//!    [`Quorum`] machine, which the in-process async engine drives too: it
+//!    opens the round with the carried stragglers of earlier rounds (they
+//!    are already at the server, so they outrank every fresh arrival),
 //! 3. **relays** the honest proposals to the adversary connection once
 //!    every honest proposal the round can still produce is in (the paper's
 //!    omniscient adversary, made explicit as bytes on the wire),
-//! 4. **closes the quorum** at the `quorum`-th distinct-worker arrival
-//!    (at most one proposal per worker per quorum — the Byzantine share
-//!    stays capped at `f`), carries the leftovers forward under the
-//!    `max_staleness` bound, and
+//! 4. **closes the quorum** through the machine: it holds at most `quorum`
+//!    proposals, at most one per worker (the Byzantine share stays capped
+//!    at `f`), carries the leftovers forward under the `max_staleness`
+//!    bound and sorts the aggregation input by `(issued_round, worker)`,
+//!    and
 //! 5. hands the quorum to the shared [`RoundCore`] for
 //!    aggregate → step → record — the same code path the in-process
 //!    engines run, which is why a loopback barrier run reproduces
 //!    [`Scenario::run`](krum_scenario::Scenario) bit-for-bit.
-//!
-//! The quorum's composition is ordered by real arrivals, but the
-//! *aggregation input* is sorted by `(issued_round, worker)` like the
-//! in-process async engine, so the rule sees a deterministic layout.
 //!
 //! # Churn: crash faults, heartbeats, rejoin, degraded rounds
 //!
@@ -63,7 +60,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use krum_compress::GradientCodec;
-use krum_dist::{DriftTracker, RoundCore, TrainingConfig};
+use krum_dist::{Proposal, Quorum, RoundCore, TrainingConfig};
 use krum_metrics::{RoundRecord, TrainingHistory};
 use krum_models::GradientEstimator;
 use krum_scenario::{
@@ -167,7 +164,7 @@ impl JobRuntime {
 
 /// How rounds close for a given execution spec: quorum size, staleness
 /// bound, and whether the quorum/staleness columns should be recorded.
-fn close_policy(execution: &ExecutionSpec, n: usize) -> (usize, usize, bool) {
+pub(crate) fn close_policy(execution: &ExecutionSpec, n: usize) -> (usize, usize, bool) {
     match *execution {
         ExecutionSpec::Sequential | ExecutionSpec::Threaded { .. } => (n, 0, false),
         ExecutionSpec::AsyncQuorum {
@@ -189,25 +186,9 @@ fn close_policy(execution: &ExecutionSpec, n: usize) -> (usize, usize, bool) {
 /// The per-round closing rules of one job, bundled once in `drive_job`.
 struct ClosePolicy {
     quorum: usize,
-    max_staleness: usize,
     record_quorum: bool,
     timeouts: RemoteTimeouts,
     on_crash: Option<CrashPolicy>,
-}
-
-/// A proposal that arrived but did not make its round's quorum, carried
-/// forward as a stale candidate.
-struct Pending {
-    worker: usize,
-    issued_round: usize,
-    vector: Vector,
-}
-
-/// One selected quorum member.
-struct Selected {
-    worker: usize,
-    issued_round: usize,
-    vector: Vector,
 }
 
 /// Runs one job to completion: `rounds` server rounds over the given
@@ -430,20 +411,20 @@ fn drive_job(
     };
     drop(estimators);
 
-    let (quorum, max_staleness, record_quorum) = close_policy(&spec.execution, n);
+    let (quorum_size, max_staleness, record_quorum) = close_policy(&spec.execution, n);
     let policy = ClosePolicy {
-        quorum,
-        max_staleness,
+        quorum: quorum_size,
         record_quorum,
         timeouts: runtime.timeouts,
         on_crash: runtime.on_crash,
     };
+    let mut quorum = Quorum::new(n, quorum_size, max_staleness);
 
     // Fresh start, or continue where the checkpoint left off. The snapshot
     // restores the server-side state; the workers restore theirs by
     // fast-forwarding their deterministic RNG streams (or by simply still
     // being alive, for an in-process kill/resume).
-    let (start_round, mut params, mut pending, mut history, wall_before) = match &runtime.resume {
+    let (start_round, mut params, mut history, wall_before) = match &runtime.resume {
         Some(resume) => {
             if resume.params.dim() != dim {
                 return Err(ServerError::Checkpoint(format!(
@@ -451,23 +432,35 @@ fn drive_job(
                     resume.params.dim()
                 )));
             }
-            let pending: Vec<Pending> = resume
-                .pending
-                .iter()
-                .map(|c| Pending {
-                    worker: c.worker as usize,
-                    issued_round: c.issued_round as usize,
-                    vector: Vector::from(c.proposal.clone()),
-                })
-                .collect();
+            quorum.restore(
+                resume
+                    .pending
+                    .iter()
+                    .map(|c| Proposal {
+                        worker: c.worker as usize,
+                        issued_round: c.issued_round as usize,
+                        arrival: 0,
+                        vector: Vector::from(c.proposal.clone()),
+                    })
+                    .collect(),
+            );
             // Reinstall the stateful-rule memory (reputation weights, clip
             // anchor) so the resumed rounds weigh workers exactly as the
             // uninterrupted run would have.
             core.import_stateful_state(resume.stateful_rule.clone());
+            // The drift columns continue the recorded series exactly (0
+            // when no Byzantine round has closed yet).
+            core.resume_drift(
+                resume
+                    .history
+                    .rounds
+                    .last()
+                    .and_then(|r| r.attacker_displacement)
+                    .unwrap_or(0.0),
+            );
             (
                 resume.start_round as usize,
                 resume.params.clone(),
-                pending,
                 resume.history.clone(),
                 resume.wall_nanos,
             )
@@ -496,21 +489,11 @@ fn drive_job(
                 n,
                 f,
             );
-            (0, params, Vec::new(), history, 0)
+            (0, params, history, 0)
         }
     };
 
     let mut alive = vec![true; conns.len()];
-    // Drift columns continue a resumed series exactly: the tracker restarts
-    // from the last recorded cumulative displacement (0 for a fresh run or
-    // when no Byzantine round has closed yet).
-    let mut drift = DriftTracker::resume(
-        history
-            .rounds
-            .last()
-            .and_then(|r| r.attacker_displacement)
-            .unwrap_or(0.0),
-    );
     let wall_start = Instant::now();
     for round in start_round..spec.rounds {
         let record = serve_round(
@@ -523,16 +506,16 @@ fn drive_job(
             &mut core,
             &*probe,
             &mut params,
-            &mut pending,
+            &mut quorum,
             &policy,
             codec.as_deref(),
-            &mut drift,
         )?;
         history.push(record);
         let halting = runtime.halt_after_round == Some(round as u64);
         if let Some(config) = &runtime.checkpoint {
             if (round as u64 + 1).is_multiple_of(config.every) || halting {
-                let carry: Vec<CarryOver> = pending
+                let carry: Vec<CarryOver> = quorum
+                    .carried()
                     .iter()
                     .map(|p| CarryOver {
                         worker: p.worker as u32,
@@ -605,10 +588,9 @@ fn serve_round(
     core: &mut RoundCore,
     probe: &dyn GradientEstimator,
     params: &mut Vector,
-    pending: &mut Vec<Pending>,
+    quorum: &mut Quorum,
     policy: &ClosePolicy,
     codec: Option<&dyn GradientCodec>,
-    drift: &mut DriftTracker,
 ) -> Result<RoundRecord, ServerError> {
     let cluster = spec.cluster;
     let n = cluster.workers();
@@ -679,52 +661,14 @@ fn serve_round(
         }
     }
 
-    // Quorum selection state. Carried stragglers are already at the server:
-    // they outrank every fresh arrival, consumed oldest-first with at most
-    // one proposal per worker per quorum.
-    pending.sort_by_key(|p| (p.issued_round, p.worker));
-    let quorum = policy.quorum;
-    let mut taken = vec![false; n];
-    let mut selected: Vec<Selected> = Vec::with_capacity(quorum);
-    let mut leftover: Vec<Pending> = Vec::new();
-    let mut arrival_nanos: Option<u128> = None;
-    let offer = |entry: Pending,
-                 selected: &mut Vec<Selected>,
-                 leftover: &mut Vec<Pending>,
-                 taken: &mut [bool],
-                 arrival_nanos: &mut Option<u128>,
-                 now: &Instant| {
-        if selected.len() < quorum && !taken[entry.worker] {
-            taken[entry.worker] = true;
-            selected.push(Selected {
-                worker: entry.worker,
-                issued_round: entry.issued_round,
-                vector: entry.vector,
-            });
-            if selected.len() == quorum {
-                *arrival_nanos = Some(now.elapsed().as_nanos());
-            }
-        } else {
-            leftover.push(entry);
-        }
-    };
-    for entry in pending.drain(..) {
-        offer(
-            entry,
-            &mut selected,
-            &mut leftover,
-            &mut taken,
-            &mut arrival_nanos,
-            &round_open,
-        );
-    }
+    // The carried stragglers open the quorum.
+    quorum.open(round, 0);
 
     // Collect this round's fresh proposals in real arrival order, weaving
     // in heartbeats, crash obituaries and rejoins. The loop drains every
-    // proposal the round can still produce (the quorum may close earlier —
-    // `arrival_nanos` pins that moment — but stragglers are bookkept into
-    // the carry pool before the next round opens, matching the in-process
-    // async engine's accounting).
+    // proposal the round can still produce: the quorum may close earlier
+    // (its cutoff pins that moment), but stragglers reach the machine's
+    // carry pool before the next round opens.
     let mut honest_seen = vec![false; honest];
     let mut byzantine_seen = vec![false; f];
     // Clones of the honest proposals for the adversary relay, worker order.
@@ -1036,18 +980,12 @@ fn serve_round(
                         observed[worker] = Some(proposal.clone());
                     }
                 }
-                offer(
-                    Pending {
-                        worker,
-                        issued_round: round,
-                        vector: Vector::from(proposal),
-                    },
-                    &mut selected,
-                    &mut leftover,
-                    &mut taken,
-                    &mut arrival_nanos,
-                    &round_open,
-                );
+                quorum.offer(Proposal {
+                    worker,
+                    issued_round: round,
+                    arrival: round_open.elapsed().as_nanos(),
+                    vector: Vector::from(proposal),
+                });
             }
         }
 
@@ -1087,86 +1025,45 @@ fn serve_round(
             }
         }
     }
-    let arrival_nanos = arrival_nanos.unwrap_or_else(|| round_open.elapsed().as_nanos());
-
-    // Carry the unselected proposals forward under the staleness bound.
-    let mut dropped_stale = 0usize;
-    for entry in leftover {
-        if round + 1 - entry.issued_round > policy.max_staleness {
-            dropped_stale += 1;
-        } else {
-            pending.push(entry);
-        }
-    }
-    let pending_carryover = pending.len();
-
-    // Quorum/staleness stats, then the deterministic aggregation layout:
-    // (issued_round, worker) order, exactly like the in-process async
-    // engine (plain worker order when the quorum is all-fresh).
-    let quorum_size = selected.len();
-    let degraded = quorum_size < quorum;
-    if degraded && quorum_size < honest {
+    let stats = quorum.close();
+    let degraded = stats.size < policy.quorum;
+    if degraded && stats.size < honest {
         // Below n − f live proposals no close is sound: more workers
         // crashed than the fault bound absorbs.
         return Err(ServerError::TooManyFaults {
             job: id,
             round: round as u64,
-            live: quorum_size,
+            live: stats.size,
             needed: honest,
         });
     }
-    let stale_in_quorum = selected.iter().filter(|s| s.issued_round < round).count();
-    let max_staleness_in_quorum = selected
-        .iter()
-        .map(|s| round - s.issued_round)
-        .max()
-        .unwrap_or(0);
-    selected.sort_by_key(|s| (s.issued_round, s.worker));
-    let meta: Vec<(usize, usize)> = selected
-        .iter()
-        .map(|s| (s.worker, s.issued_round))
-        .collect();
-    let worker_ids: Vec<usize> = meta.iter().map(|&(w, _)| w).collect();
-    let vectors: Vec<Vector> = selected.into_iter().map(|s| s.vector).collect();
-
-    // Stateful rules key their memory by worker, not by proposal slot:
-    // declare who is behind each slot before the core closes the round.
-    core.set_slot_workers(&worker_ids);
 
     // Aggregate → step → record through the shared core. A crash-degraded
     // round closes through the same rule rebuilt at the surviving arity
     // (Krum's guarantee holds while 2f + 2 < live — the rebuild enforces
     // its own bound structurally).
+    let (vectors, workers) = (quorum.vectors(), quorum.workers());
     let true_gradient = probe.true_gradient(params);
     let mut record = if degraded {
-        let rule = spec.rule.build(quorum_size, f)?;
-        core.close_round_with(&*rule, params, round, &vectors, true_gradient, Some(probe))?
+        let rule = spec.rule.build(stats.size, f)?;
+        core.close_round_with(
+            &*rule,
+            params,
+            round,
+            vectors,
+            workers,
+            true_gradient,
+            Some(probe),
+        )?
     } else {
-        core.close_round(params, round, &vectors, true_gradient, Some(probe))?
+        core.close_round(params, round, vectors, workers, true_gradient, Some(probe))?
     };
-    record.selected_worker = record.selected_worker.map(|slot| meta[slot].0);
-    record.selected_byzantine = record.selected_worker.map(|w| w >= honest);
-    // Drift columns from the exact quorum the rule saw — the same
-    // arithmetic the in-process engines run, so loopback histories match.
-    let learning_rate = record.learning_rate;
-    drift.observe(
-        &mut record,
-        core.last_aggregate(),
-        &vectors,
-        &worker_ids,
-        honest,
-        learning_rate,
-    );
     record.propose_nanos = propose_nanos;
     record.attack_nanos = attack_nanos;
     if policy.record_quorum {
-        record.quorum_size = Some(quorum_size);
-        record.stale_in_quorum = Some(stale_in_quorum);
-        record.max_staleness_in_quorum = Some(max_staleness_in_quorum);
-        record.dropped_stale = Some(dropped_stale);
-        record.pending_carryover = Some(pending_carryover);
+        stats.record(&mut record);
     }
-    record.arrival_nanos = Some(arrival_nanos);
+    record.arrival_nanos = Some(stats.cutoff);
     record.reconnects = Some(reconnects);
     record.degraded_rounds = Some(u64::from(degraded));
 
@@ -1185,7 +1082,7 @@ fn serve_round(
                 worker: w as u32,
                 byzantine: record.selected_byzantine.unwrap_or(w >= honest),
             }),
-            quorum: worker_ids.iter().map(|&w| w as u32).collect(),
+            quorum: workers.iter().map(|&w| w as u32).collect(),
         };
         match write_frame(&mut conns[adversary].stream, &feedback) {
             Ok(b) => {
@@ -1208,7 +1105,7 @@ fn serve_round(
     let closed = Frame::RoundClosed {
         job: id,
         round: round as u64,
-        quorum: quorum_size as u32,
+        quorum: stats.size as u32,
         aggregate_norm: record.aggregate_norm,
     }
     .encode();

@@ -25,9 +25,9 @@
 //!   `x_t`, collect proposals in real arrival order, relay the honest
 //!   proposals to the adversary connection (the paper's omniscient
 //!   adversary as bytes), close the round at the full barrier or at the
-//!   configured quorum with the async engine's staleness/carry-over
-//!   semantics, and aggregate through the same
-//!   [`RoundCore`](krum_dist::RoundCore) the in-process engines use.
+//!   configured quorum through the [`Quorum`](krum_dist::Quorum) machine
+//!   the in-process async engine drives too, and aggregate through the same
+//!   [`RoundCore`](krum_dist::RoundCore) the in-process engine uses.
 //! * [`WorkerClient`] is the other end of the socket: an honest worker
 //!   rebuilds its estimator (and RNG stream) from the assigned scenario,
 //!   the adversary connection rebuilds the registered attack and controls

@@ -4,7 +4,7 @@ use krum::aggregation::{Aggregator, Average, CoordinateWiseMedian, Krum, MultiKr
 use krum::attacks::{Collusion, GaussianNoise, NoAttack, OmniscientNegative, SignFlip};
 use krum::data::{generators, partition, BatchSampler};
 use krum::dist::{
-    ClusterSpec, LatencyModel, LearningRateSchedule, NetworkModel, SyncTrainer, ThreadedTrainer,
+    ClusterSpec, ExecutionStrategy, LatencyModel, LearningRateSchedule, NetworkModel, RoundEngine,
     TrainingConfig,
 };
 use krum::metrics::{to_csv, to_json, TrainingHistory};
@@ -63,12 +63,14 @@ fn config(rounds: usize, dim: usize) -> TrainingConfig {
 fn krum_converges_on_quadratic_with_a_third_byzantine() {
     let dim = 30;
     let cluster = ClusterSpec::new(15, 4).unwrap();
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         cluster,
         Box::new(Krum::new(15, 4).unwrap()),
         Box::new(OmniscientNegative::new(5.0).unwrap()),
         quadratic_estimators(11, dim, 0.3),
+        None,
         config(300, dim),
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let (params, history) = trainer.run(Vector::filled(dim, 4.0)).unwrap();
@@ -94,12 +96,14 @@ fn krum_converges_on_quadratic_with_a_third_byzantine() {
 fn averaging_is_destroyed_by_the_same_attack() {
     let dim = 30;
     let cluster = ClusterSpec::new(15, 4).unwrap();
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         cluster,
         Box::new(Average::new()),
         Box::new(OmniscientNegative::new(5.0).unwrap()),
         quadratic_estimators(11, dim, 0.3),
+        None,
         config(300, dim),
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let (params, _) = trainer.run(Vector::filled(dim, 4.0)).unwrap();
@@ -132,15 +136,19 @@ fn logistic_regression_under_gaussian_attack_krum_vs_average() {
         };
         let model = LogisticRegression::new(features);
         let test = test.clone();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             aggregator,
             Box::new(GaussianNoise::new(100.0).unwrap()),
             logistic_estimators(&train, cluster.honest(), features, 8),
+            None,
             cfg,
+            ExecutionStrategy::Sequential,
         )
-        .unwrap()
-        .with_accuracy_probe(move |params| accuracy(&model, params, &test).ok().flatten());
+        .unwrap();
+        trainer.set_accuracy_probe(Box::new(move |params| {
+            accuracy(&model, params, &test).ok().flatten()
+        }));
         trainer.run(Vector::zeros(features + 1)).unwrap()
     };
     let (_, krum_history) = run(Box::new(Krum::new(11, 3).unwrap()));
@@ -160,12 +168,14 @@ fn figure_2_collusion_beats_closest_to_barycenter_but_not_krum_over_a_run() {
     let dim = 20;
     let cluster = ClusterSpec::new(13, 3).unwrap();
     let run = |aggregator: Box<dyn Aggregator>| {
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             aggregator,
             Box::new(Collusion::new(5_000.0).unwrap()),
             quadratic_estimators(10, dim, 0.2),
+            None,
             config(150, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         trainer.run(Vector::filled(dim, 3.0)).unwrap()
@@ -190,12 +200,14 @@ fn multikrum_matches_average_speed_without_attack_and_survives_with_attack() {
         } else {
             Box::new(NoAttack::new())
         };
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             aggregator,
             attack,
             quadratic_estimators(9, dim, 0.5),
+            None,
             config(200, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         trainer.run(Vector::filled(dim, 3.0)).unwrap().0
@@ -213,12 +225,14 @@ fn multikrum_matches_average_speed_without_attack_and_survives_with_attack() {
 fn median_baseline_also_survives_moderate_attacks() {
     let dim = 15;
     let cluster = ClusterSpec::new(11, 2).unwrap();
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         cluster,
         Box::new(CoordinateWiseMedian::new()),
         Box::new(SignFlip::new(10.0).unwrap()),
         quadratic_estimators(9, dim, 0.2),
+        None,
         config(200, dim),
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let (params, _) = trainer.run(Vector::filled(dim, 3.0)).unwrap();
@@ -236,26 +250,33 @@ fn threaded_engine_matches_sequential_engine_and_exports_cleanly() {
         eval_every: 5,
         known_optimum: Some(Vector::zeros(dim)),
     };
-    let mut sequential = SyncTrainer::new(
+    let mut sequential = RoundEngine::new(
         cluster,
         Box::new(Krum::new(9, 2).unwrap()),
         Box::new(GaussianNoise::new(30.0).unwrap()),
         quadratic_estimators(7, dim, 0.4),
+        None,
         seed_cfg(dim),
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
-    let mut threaded = ThreadedTrainer::new(
+    let mut estimators = quadratic_estimators(8, dim, 0.4); // honest + metrics probe
+    let probe = estimators.pop();
+    let mut threaded = RoundEngine::new(
         cluster,
         Box::new(Krum::new(9, 2).unwrap()),
         Box::new(GaussianNoise::new(30.0).unwrap()),
-        quadratic_estimators(8, dim, 0.4), // honest + metrics probe
+        estimators,
+        probe,
         seed_cfg(dim),
-        NetworkModel {
-            latency: LatencyModel::Uniform {
-                min_nanos: 10_000,
-                max_nanos: 50_000,
+        ExecutionStrategy::Threaded {
+            network: NetworkModel {
+                latency: LatencyModel::Uniform {
+                    min_nanos: 10_000,
+                    max_nanos: 50_000,
+                },
+                nanos_per_byte: 0.25,
             },
-            nanos_per_byte: 0.25,
         },
     )
     .unwrap();
@@ -289,12 +310,14 @@ fn threaded_engine_matches_sequential_engine_and_exports_cleanly() {
 fn history_metadata_describes_the_run() {
     let dim = 8;
     let cluster = ClusterSpec::new(7, 2).unwrap();
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         cluster,
         Box::new(Krum::new(7, 2).unwrap()),
         Box::new(SignFlip::new(3.0).unwrap()),
         quadratic_estimators(5, dim, 0.1),
+        None,
         config(20, dim),
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let (_, history) = trainer.run(Vector::filled(dim, 1.0)).unwrap();

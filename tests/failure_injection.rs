@@ -6,7 +6,9 @@ use krum::aggregation::{build_aggregator, Aggregator, Average, Krum, RULE_NAMES}
 use krum::attacks::{
     Alternating, Attack, AttackContext, AttackError, GaussianNoise, KrumAware, NoAttack, SignFlip,
 };
-use krum::dist::{ClusterSpec, LearningRateSchedule, SyncTrainer, TrainingConfig};
+use krum::dist::{
+    ClusterSpec, ExecutionStrategy, LearningRateSchedule, RoundEngine, TrainingConfig,
+};
 use krum::models::{GaussianEstimator, GradientEstimator, ModelError, QuadraticCost};
 use krum::tensor::Vector;
 
@@ -91,12 +93,14 @@ fn nan_gradients_become_structured_errors_not_silent_garbage() {
     let cluster = ClusterSpec::new(5, 0).unwrap();
     let mut estimators = quadratic_estimators(4, dim, 0.1);
     estimators.push(Box::new(PoisonedEstimator::new(dim, 5)));
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         cluster,
         Box::new(Average::new()),
         Box::new(NoAttack::new()),
         estimators,
+        None,
         config(20, dim),
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let err = trainer.run(Vector::filled(dim, 2.0)).unwrap_err();
@@ -117,12 +121,14 @@ fn krum_filters_a_single_nan_worker() {
     let cluster = ClusterSpec::new(7, 0).unwrap();
     let mut estimators = quadratic_estimators(6, dim, 0.1);
     estimators.push(Box::new(PoisonedEstimator::new(dim, 3)));
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         cluster,
         Box::new(Krum::new(7, 1).unwrap()),
         Box::new(NoAttack::new()),
         estimators,
+        None,
         config(40, dim),
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let (params, history) = trainer.run(Vector::filled(dim, 2.0)).unwrap();
@@ -152,15 +158,17 @@ impl Attack for BrokenAttack {
 fn attacks_returning_the_wrong_count_are_rejected_not_trusted() {
     let dim = 3;
     let cluster = ClusterSpec::new(6, 2).unwrap();
-    let mut trainer = SyncTrainer::new(
+    let mut trainer = RoundEngine::new(
         cluster,
         Box::new(Average::new()),
         Box::new(BrokenAttack),
         quadratic_estimators(4, dim, 0.1),
+        None,
         TrainingConfig {
             known_optimum: None,
             ..config(5, dim)
         },
+        ExecutionStrategy::Sequential,
     )
     .unwrap();
     let err = trainer.run(Vector::zeros(dim)).unwrap_err();
@@ -182,12 +190,14 @@ fn registry_driven_training_sweep_runs_every_rule() {
         };
         let rule = build_aggregator(spec, n, f).unwrap();
         let cluster = ClusterSpec::new(n, f).unwrap();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             rule,
             Box::new(GaussianNoise::new(50.0).unwrap()),
             quadratic_estimators(n - f, dim, 0.2),
+            None,
             config(15, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         let (params, history) = trainer.run(Vector::filled(dim, 1.0)).unwrap();
@@ -220,12 +230,14 @@ fn alternating_attack_is_survived_by_krum_but_not_by_averaging() {
     };
     let run = |aggregator: Box<dyn Aggregator>| {
         let cluster = ClusterSpec::new(n, f).unwrap();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             aggregator,
             make_attack(),
             quadratic_estimators(n - f, dim, 0.3),
+            None,
             config(200, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         trainer.run(Vector::filled(dim, 3.0)).unwrap().0
@@ -251,12 +263,14 @@ fn krum_aware_attack_degrades_but_does_not_break_krum() {
     let f = 3;
     let run = |attack: Box<dyn Attack>| {
         let cluster = ClusterSpec::new(n, f).unwrap();
-        let mut trainer = SyncTrainer::new(
+        let mut trainer = RoundEngine::new(
             cluster,
             Box::new(Krum::new(n, f).unwrap()),
             attack,
             quadratic_estimators(n - f, dim, 0.3),
+            None,
             config(300, dim),
+            ExecutionStrategy::Sequential,
         )
         .unwrap();
         trainer.run(Vector::filled(dim, 3.0)).unwrap()
@@ -284,12 +298,14 @@ fn cluster_and_config_misuse_is_rejected_up_front() {
         rounds: 0,
         ..config(1, dim)
     };
-    assert!(SyncTrainer::new(
+    assert!(RoundEngine::new(
         cluster,
         Box::new(Average::new()),
         Box::new(NoAttack::new()),
         quadratic_estimators(4, dim, 0.1),
+        None,
         bad,
+        ExecutionStrategy::Sequential,
     )
     .is_err());
     // Krum requiring more workers than the cluster has.
