@@ -57,8 +57,11 @@ fn proposals(n: usize, dim: usize) -> Vec<Vector> {
         .collect()
 }
 
-/// Seconds per warm `aggregate_in` call (auto policy: both sides get the
-/// thread pool), measured until at least 0.4 s or 3 calls accumulate.
+/// Seconds per warm `aggregate_in` call under the default `Auto` policy,
+/// measured until at least 0.4 s or 3 calls accumulate. `Auto` fans a pass
+/// out over the thread pool only from `PARALLEL_WORK` multiply-adds: of the
+/// cells here, only flat Krum at n = 4000 does; the hierarchical groups never
+/// do.
 fn secs_per_round(rule: &dyn Aggregator, ps: &[Vector]) -> f64 {
     let mut ctx = AggregationContext::new();
     rule.aggregate_in(&mut ctx, ps).expect("warm-up aggregates");
@@ -317,7 +320,7 @@ fn main() {
         r#"{{
   "benchmark": "e12_hier_scaling (crates/bench/src/bin/e12_hier_scaling.rs)",
   "description": "scaling krum past n = 160: (1) hierarchical group aggregation (krum per round-robin group, krum over the {GROUPS} winners) vs flat krum at n = 1000-4000, d = {DIM}; (2) generation-keyed incremental Gram reuse on reuse-mode async-quorum rounds at n = 1024, d = 256 with 12.5% fresh arrivals per round; (3) the 32-lane ILP dot vs explicit std::simd-style chunking",
-  "method": "rounds/sec over warm aggregate_in calls on a reusable workspace (auto execution policy: flat and hierarchical both use the thread pool); the reuse comparison runs the full async engine with the aggregation policy forced sequential on both sides and reports 1e9 / mean aggregation_nanos; trajectory bit-identity (aggregate norms and final parameters) is asserted in-process before these numbers are printed",
+  "method": "rounds/sec over warm aggregate_in calls on a reusable workspace (auto execution policy: a pass uses the thread pool only from 2^27 multiply-adds, which among these cells is flat krum at n=4000); the reuse comparison runs the full async engine with the aggregation policy forced sequential on both sides and reports 1e9 / mean aggregation_nanos; trajectory bit-identity (aggregate norms and final parameters) is asserted in-process before these numbers are printed",
   "claims": [
     "hierarchical krum is >= 5x flat krum rounds/sec at n = 2000 (asserted)",
     "incremental Gram reuse is >= 2x on async-quorum rounds with <= 25% fresh arrivals, with bit-identical trajectories (asserted)",

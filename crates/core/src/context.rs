@@ -9,16 +9,19 @@
 //!
 //! The contract: after the context has warmed up on a given proposal shape
 //! `(n, d)`, repeated aggregations of that shape perform **zero heap
-//! allocations** on the sequential path (the `allocation_regression`
-//! integration test pins this for Krum, Multi-Krum, the coordinate-wise
-//! median and the trimmed mean). Buffers only grow, so mixing shapes is
-//! correct — the workspace simply settles at the high-water mark.
+//! allocations** whenever they stay on the calling thread: always under
+//! [`ExecutionPolicy::Sequential`], and under the default
+//! [`ExecutionPolicy::Auto`] for every pass below [`PARALLEL_WORK`]
+//! multiply-adds (the `allocation_regression` integration test pins both for
+//! Krum, Multi-Krum, closest-to-barycenter, the coordinate-wise median and
+//! the hierarchical rule). Buffers only grow, so mixing shapes is correct —
+//! the workspace simply settles at the high-water mark.
 //!
-//! Parallel execution (the [`ExecutionPolicy::Parallel`] fan-out over the
-//! `rayon` pool) necessarily allocates per-task bookkeeping inside the thread
-//! pool; the policy therefore lives on the context so callers that need the
-//! allocation-free guarantee (or deterministic single-thread profiling) can
-//! force [`ExecutionPolicy::Sequential`].
+//! A fan-out over the `rayon` pool spawns scoped threads and allocates their
+//! bookkeeping. The policy lives on the context so callers that need the
+//! allocation-free guarantee at any size (or deterministic single-thread
+//! profiling) can force [`ExecutionPolicy::Sequential`]. Every policy
+//! produces the same bits.
 
 use krum_tensor::Vector;
 
@@ -27,15 +30,36 @@ use crate::hierarchical::HierWorkspace;
 use crate::kernel;
 use crate::stateful::StatefulState;
 
-/// How a rule may spread its work across the `rayon` pool.
+/// Multiply-adds at or above which [`ExecutionPolicy::Auto`] fans a pass out
+/// over the `rayon` pool: 2^27, about 1.3e8.
+///
+/// A pass is priced by its shape alone: `n(n−1)/2·d` for the pairwise
+/// distances, `n·d` for the coordinate-wise column reductions, and the
+/// groups' summed pairwise work for the hierarchical rule. The threshold
+/// favours CPU per round over the latency of one call. A scoped spawn of
+/// two threads costs tens to hundreds of µs, and the serial mirror and
+/// scoring passes cap what the second core can win. Measured on a 2-vCPU
+/// host, warm Krum on two threads took 1.18× the one-thread wall time at
+/// 40 × 1000 and 0.99× at 380 × 64, and at best 0.69× (200 × 1000) below
+/// the threshold, for twice the cores. From 2^27 a sequential call takes
+/// tens of milliseconds, and two threads cut it by a quarter or more
+/// (4000 × 64: 340 → 246 ms). So every per-round shape of the benchmark and
+/// the smoke scenarios stays on the calling thread, and flat Krum at
+/// 4000 × 64 still fans out.
+pub const PARALLEL_WORK: usize = 1 << 27;
+
+/// How a rule may spread its work across the `rayon` pool. Every policy
+/// produces the same bits; the policy decides only where they are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionPolicy {
-    /// Decide per call from the input size and the available parallelism
-    /// (the default; matches the allocation-per-call API's behaviour).
+    /// Fan out only passes of at least [`PARALLEL_WORK`] multiply-adds, and
+    /// only on a host with more than one thread (the default, and the policy
+    /// of the allocation-per-call API). Smaller passes run on the calling
+    /// thread and allocate nothing once warm.
     #[default]
     Auto,
-    /// Never use the thread pool. The only policy with the zero-allocation
-    /// guarantee, and the reference the property tests pin against.
+    /// Never use the thread pool: the zero-allocation guarantee at every
+    /// size, and the reference the property tests pin against.
     Sequential,
     /// Always fan out, even for small inputs (useful for testing the
     /// parallel path deterministically).
@@ -43,12 +67,13 @@ pub enum ExecutionPolicy {
 }
 
 impl ExecutionPolicy {
-    /// Whether a workload over `n` independent rows should use the pool.
-    pub(crate) fn use_parallel(self, n: usize) -> bool {
+    /// Whether a pass of `work` multiply-adds should use the pool. The thread
+    /// count is consulted only once the work clears [`PARALLEL_WORK`].
+    pub(crate) fn use_parallel(self, work: usize) -> bool {
         match self {
             Self::Sequential => false,
             Self::Parallel => true,
-            Self::Auto => n >= 8 && rayon::current_num_threads() > 1,
+            Self::Auto => work >= PARALLEL_WORK && rayon::current_num_threads() > 1,
         }
     }
 }
@@ -263,8 +288,9 @@ impl AggregationContext {
     /// Cached-norm pairwise distances into the context's own
     /// `norms`/`distances` buffers, honouring the generation cache armed via
     /// [`AggregationContext::set_generations`]. This is the single pairwise
-    /// entry every Gram-based rule goes through.
-    pub(crate) fn pairwise_distances_cached(&mut self, proposals: &[Vector], parallel: bool) {
+    /// entry every Gram-based rule goes through, and the policy decides its
+    /// fan-out from the pass's [`kernel::pairwise_work`].
+    pub(crate) fn pairwise_distances_cached(&mut self, proposals: &[Vector]) {
         let n = proposals.len();
         let dim = proposals.first().map_or(0, Vector::dim);
         let armed = std::mem::take(&mut self.pending_armed);
@@ -292,7 +318,7 @@ impl AggregationContext {
                 proposals,
                 &mut self.norms,
                 &mut self.distances,
-                parallel,
+                self.policy.use_parallel(kernel::pairwise_work(n, dim)),
             );
         }
         if armed {
@@ -312,11 +338,29 @@ mod tests {
 
     #[test]
     fn policy_controls_fanout_decision() {
-        assert!(!ExecutionPolicy::Sequential.use_parallel(1_000));
-        assert!(ExecutionPolicy::Parallel.use_parallel(2));
+        assert!(!ExecutionPolicy::Sequential.use_parallel(usize::MAX));
+        assert!(ExecutionPolicy::Parallel.use_parallel(0));
         let auto = ExecutionPolicy::Auto;
-        assert!(!auto.use_parallel(2));
+        assert!(!auto.use_parallel(PARALLEL_WORK - 1));
+        assert_eq!(
+            auto.use_parallel(PARALLEL_WORK),
+            rayon::current_num_threads() > 1
+        );
         assert_eq!(ExecutionPolicy::default(), ExecutionPolicy::Auto);
+    }
+
+    /// The per-round shapes of the benchmark and the smoke scenarios stay on
+    /// the calling thread under `Auto`; flat Krum at 4000 × 64 does not.
+    #[test]
+    fn auto_fans_out_only_past_the_work_threshold() {
+        let pairwise = |n: usize, dim: usize| kernel::pairwise_work(n, dim);
+        assert_eq!(pairwise(40, 1000), 780_000);
+        for work in [pairwise(40, 1000), pairwise(380, 64), 16 * pairwise(64, 8)] {
+            assert!(work < PARALLEL_WORK, "{work}");
+        }
+        assert!(pairwise(4000, 64) >= PARALLEL_WORK);
+        assert_eq!(pairwise(0, 64), 0);
+        assert_eq!(pairwise(1, 64), 0);
     }
 
     #[test]

@@ -58,8 +58,7 @@ impl Aggregator for ClosestToBarycenter {
     ) -> Result<(), AggregationError> {
         validate_proposals(proposals)?;
         let n = proposals.len();
-        let parallel = ctx.policy().use_parallel(n);
-        ctx.pairwise_distances_cached(proposals, parallel);
+        ctx.pairwise_distances_cached(proposals);
         crate::kernel::row_sums_into(&ctx.distances, n, &mut ctx.scores);
         // NaN-safe argmin shared with Krum. Note the protection is weaker
         // for this rule than for Krum: the criterion sums distances to ALL

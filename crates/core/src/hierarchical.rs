@@ -4,8 +4,9 @@
 //! practical cluster sizes in the low hundreds. [`Hierarchical`] shards the
 //! `n` workers into `g` deterministic groups (round-robin: worker `w` joins
 //! group `w mod g`), runs an *inner* rule independently per group (fanned
-//! out across the `rayon` pool), then runs an *outer* rule over the `g`
-//! group winners. With `g ≈ √n` the pairwise work drops from `n²` to
+//! out across the `rayon` pool once the groups' summed pairwise work reaches
+//! [`PARALLEL_WORK`](crate::PARALLEL_WORK)), then runs an *outer* rule over
+//! the `g` group winners. With `g ≈ √n` the pairwise work drops from `n²` to
 //! `≈ n²/g + g²` distance computations — the aggregation-tree architecture
 //! real robust-aggregation services use to bound this cost.
 //!
@@ -34,6 +35,7 @@ use rayon::prelude::*;
 use crate::aggregator::{validate_proposals, Aggregator};
 use crate::context::{AggregationContext, ExecutionPolicy};
 use crate::error::AggregationError;
+use crate::kernel;
 use crate::registry::RuleSpec;
 use crate::resilience::{hierarchical_bounds, HierarchicalBounds};
 
@@ -448,7 +450,10 @@ impl Aggregator for Hierarchical {
                 found: proposals.len(),
             });
         }
-        let parallel = ctx.policy().use_parallel(self.bounds.groups);
+        let work = (0..self.bounds.groups)
+            .map(|k| kernel::pairwise_work(self.group_size(k), dim))
+            .sum();
+        let parallel = ctx.policy().use_parallel(work);
         // Take the workspace out of the context so the group contexts and
         // the caller's context are independently borrowable (the Box moves,
         // nothing is copied or allocated).

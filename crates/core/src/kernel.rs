@@ -7,14 +7,17 @@
 //! * **Cached-norm (Gram) formulation** — `‖Vi − Vj‖² = ‖Vi‖² + ‖Vj‖² −
 //!   2⟨Vi, Vj⟩`, clamped at zero. Norms are computed once (`O(n·d)`), and
 //!   each pair costs one dot product instead of a subtract-square-sum pass.
-//! * **ILP-friendly dot product** — 32 independent accumulators break the
-//!   floating-point add dependency chain, letting the CPU pipeline (and
-//!   auto-vectorize) the reduction across several SIMD FMA chains. This is the difference between
-//!   latency-bound and throughput-bound and is worth several × on its own.
-//! * **Upper triangle only, in parallel** — distances are symmetric; rows of
-//!   the strict upper triangle fan out over the `rayon` pool (round-robin
-//!   striping balances the linearly shrinking row lengths). On single-core
-//!   machines this degrades to a clean serial loop.
+//! * **Full-width dot product** — 32 independent lane accumulators break the
+//!   floating-point add dependency chain. The lane loop and the top of the
+//!   pairwise reduction tree compile to 256-bit multiplies and adds on
+//!   AVX2/AVX-512 hosts (separate multiply and add: no FMA, which would
+//!   change the bits). [`dot`] is inlined into every pairwise loop.
+//! * **Upper triangle only** — distances are symmetric, so each pair is
+//!   computed once and written to both halves. When
+//!   [`ExecutionPolicy::use_parallel`] fans a pass out, the rows of the
+//!   strict upper triangle go over the `rayon` pool (round-robin striping
+//!   balances the linearly shrinking row lengths) and a serial pass mirrors
+//!   them.
 //! * **Partial selection for scores** — per row, the `n − f − 2` smallest
 //!   distances are found with `select_nth_unstable_by` (`O(n)`) instead of a
 //!   full sort (`O(n log n)`), using one reusable scratch row.
@@ -22,61 +25,87 @@
 //! The pre-optimization implementation is kept under
 //! [`naive`] — compiled for tests and for the `naive` feature — as the
 //! equivalence oracle the property tests and the `krum_scaling` benchmark
-//! compare against.
+//! compare against. [`naive::dot`] is the bit oracle of [`dot`].
 //!
 //! NaN semantics match the naive path: a proposal with non-finite
 //! coordinates has NaN distances, a NaN Krum score, and loses every
 //! selection (see [`argmin`]). The zero-clamp uses a comparison (`d < 0.0`)
 //! rather than `f64::max` precisely so NaN is preserved.
+//!
+//! [`ExecutionPolicy::use_parallel`]: crate::ExecutionPolicy
 
 use krum_tensor::Vector;
 use rayon::prelude::*;
 
-/// Dot product with 32 independent accumulators. The width is deliberate:
-/// on AVX-512 hardware LLVM folds each group of vector-width lanes into one
-/// SIMD accumulator, so 32 lanes form four independent FMA chains — enough
-/// to hide the 4-cycle FMA latency instead of serialising on it. On
-/// narrower ISAs (AVX2/SSE2) the same code yields more, shorter chains and
-/// still saturates the FP units.
+/// Lane accumulators of [`dot`]: lane `l` sums the products at indices
+/// `≡ l (mod LANES)` of the whole 32-wide chunks.
+const LANES: usize = 32;
+
+/// Dot product with 32 independent lane accumulators, reduced by a fixed
+/// pairwise tree, then the `len % 32` tail added in index order.
+///
+/// The bits are pinned: lane `l` sums its products in chunk order starting
+/// from `+0.0`; the tree adds lane `l + w` into lane `l` for `w = 16, 8, 4,
+/// 2, 1`; the tail is added to lane 0's total one product at a time.
+/// [`naive::dot`] is the original single-loop formulation of exactly these
+/// operations, and the kernel tests compare the two bit for bit.
+///
+/// The lane loop and the tree are separate steps so that each compiles at
+/// its own vector width. Written as one loop, LLVM's SLP vectorizer sizes
+/// the whole function by the two-wide bottom of the tree and runs the lane
+/// loop on 128-bit registers.
 ///
 /// Exposed as `krum_core::ilp_dot` so benchmarks can compare it against
 /// explicit SIMD-style chunking on the build target. Panics in debug builds
 /// when the slices differ in length (release builds read the shorter).
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    const LANES: usize = 32;
     debug_assert_eq!(a.len(), b.len());
     let main = a.len() - a.len() % LANES;
-    let mut acc = [0.0f64; LANES];
-    for (ca, cb) in a[..main]
-        .chunks_exact(LANES)
-        .zip(b[..main].chunks_exact(LANES))
-    {
-        for lane in 0..LANES {
-            acc[lane] += ca[lane] * cb[lane];
-        }
-    }
-    // Pairwise tree reduction keeps the combine itself parallelizable.
-    let mut width = LANES / 2;
-    while width > 0 {
-        for lane in 0..width {
-            acc[lane] += acc[lane + width];
-        }
-        width /= 2;
-    }
-    let mut sum = acc[0];
+    let mut sum = reduce_lanes(lane_sums(&a[..main], &b[..main]));
     for (x, y) in a[main..].iter().zip(&b[main..]) {
         sum += x * y;
     }
     sum
 }
 
+/// Per-lane sums of products over the whole 32-wide chunks of `a` and `b`.
+#[inline(always)]
+fn lane_sums(a: &[f64], b: &[f64]) -> [f64; LANES] {
+    let mut acc = [0.0f64; LANES];
+    for (ca, cb) in a.chunks_exact(LANES).zip(b.chunks_exact(LANES)) {
+        for lane in 0..LANES {
+            acc[lane] += ca[lane] * cb[lane];
+        }
+    }
+    acc
+}
+
+/// The pairwise tree over the 32 lane sums. The three wide levels run on
+/// full vectors; the opaque [`std::hint::black_box`] before the last four
+/// lanes keeps the vectorizer from sizing them (and with them the lane loop)
+/// by the two-wide bottom. It costs one 32-byte store and reload per dot.
+#[inline(always)]
+fn reduce_lanes(acc: [f64; LANES]) -> f64 {
+    let half: [f64; 16] = std::array::from_fn(|l| acc[l] + acc[l + 16]);
+    let quarter: [f64; 8] = std::array::from_fn(|l| half[l] + half[l + 8]);
+    let eighth: [f64; 4] =
+        std::hint::black_box(std::array::from_fn(|l| quarter[l] + quarter[l + 4]));
+    (eighth[0] + eighth[2]) + (eighth[1] + eighth[3])
+}
+
+/// Multiply-adds of one full pairwise pass over `n` proposals of dimension
+/// `dim`: the `n(n−1)/2` dot products of the strict upper triangle.
+pub(crate) fn pairwise_work(n: usize, dim: usize) -> usize {
+    (n * n.saturating_sub(1) / 2).saturating_mul(dim)
+}
+
 /// Full symmetric matrix of pairwise squared distances, flattened row-major,
 /// computed with the cached-norm Gram formulation over the upper triangle.
 /// Allocation-per-call wrapper around [`pairwise_squared_distances_into`].
 pub(crate) fn pairwise_squared_distances(proposals: &[Vector]) -> Vec<f64> {
-    let n = proposals.len();
-    let parallel = crate::ExecutionPolicy::Auto.use_parallel(n);
+    let dim = proposals.first().map_or(0, Vector::dim);
+    let parallel = crate::ExecutionPolicy::Auto.use_parallel(pairwise_work(proposals.len(), dim));
     let mut norms = Vec::new();
     let mut out = Vec::new();
     pairwise_squared_distances_into(proposals, &mut norms, &mut out, parallel);
@@ -90,9 +119,10 @@ pub(crate) fn pairwise_squared_distances(proposals: &[Vector]) -> Vec<f64> {
 /// zero heap allocations. The parallel path fans the strict-upper-triangle
 /// rows out over disjoint mutable row slices of `out` (the vendored pool
 /// schedules them round-robin, which balances the linearly shrinking rows),
-/// then mirrors the triangle serially; the thread-pool bookkeeping itself
-/// allocates, which is why the zero-allocation contract is tied to the
-/// sequential policy.
+/// then mirrors the triangle serially; the thread spawns and the pool's
+/// bookkeeping allocate, which is why the zero-allocation contract holds
+/// only while the pass stays on the calling thread. Both paths compute
+/// every entry with the same [`pair_distance`], so they agree bit for bit.
 pub(crate) fn pairwise_squared_distances_into(
     proposals: &[Vector],
     norms: &mut Vec<f64>,
@@ -118,10 +148,8 @@ pub(crate) fn pairwise_squared_distances_into(
         }
     } else {
         for i in 0..n {
-            let ni = norms[i];
-            let vi = proposals[i].as_slice();
             for j in (i + 1)..n {
-                let d = clamp_distance(ni + norms[j] - 2.0 * dot(vi, proposals[j].as_slice()));
+                let d = pair_distance(proposals, norms, i, j);
                 out[i * n + j] = d;
                 out[j * n + i] = d;
             }
@@ -165,12 +193,10 @@ pub(crate) fn pairwise_squared_distances_update(
         }
     }
     for i in 0..n {
-        let ni = norms[i];
-        let vi = proposals[i].as_slice();
         let ci = changed[i];
         for j in (i + 1)..n {
             if ci || changed[j] {
-                let d = clamp_distance(ni + norms[j] - 2.0 * dot(vi, proposals[j].as_slice()));
+                let d = pair_distance(proposals, norms, i, j);
                 out[i * n + j] = d;
                 out[j * n + i] = d;
             }
@@ -182,18 +208,19 @@ pub(crate) fn pairwise_squared_distances_update(
 /// tail of `row` (the full `n`-wide row `i` of the distance matrix).
 #[inline]
 fn fill_upper_row(proposals: &[Vector], norms: &[f64], i: usize, row: &mut [f64]) {
-    let vi = proposals[i].as_slice();
-    let ni = norms[i];
     for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
-        *slot = clamp_distance(ni + norms[j] - 2.0 * dot(vi, proposals[j].as_slice()));
+        *slot = pair_distance(proposals, norms, i, j);
     }
 }
 
-/// Clamps the cancellation error below zero, but lets NaN through (a
-/// `max(0.0)` would silently turn NaN into 0 and hand the aggregation to a
-/// poisoned worker).
-#[inline]
-fn clamp_distance(d: f64) -> f64 {
+/// The cached-norm distance `‖Vi‖² + ‖Vj‖² − 2⟨Vi, Vj⟩` of one pair, with
+/// the cancellation error below zero clamped away. The clamp lets NaN
+/// through (a `max(0.0)` would silently turn NaN into 0 and hand the
+/// aggregation to a poisoned worker). Every pairwise loop goes through here,
+/// so the full, parallel and incremental passes agree bit for bit.
+#[inline(always)]
+fn pair_distance(proposals: &[Vector], norms: &[f64], i: usize, j: usize) -> f64 {
+    let d = norms[i] + norms[j] - 2.0 * dot(proposals[i].as_slice(), proposals[j].as_slice());
     if d < 0.0 {
         0.0
     } else {
@@ -324,6 +351,58 @@ pub(crate) fn smallest_indices_into(scores: &[f64], m: usize, order: &mut Vec<us
 pub mod naive {
     use krum_tensor::Vector;
 
+    /// The original single-loop form of [`super::dot`], kept as its bit
+    /// oracle: 32 lane accumulators summed in chunk order from `+0.0`, the
+    /// in-place pairwise tree, then the tail in index order.
+    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+        const LANES: usize = 32;
+        debug_assert_eq!(a.len(), b.len());
+        let main = a.len() - a.len() % LANES;
+        let mut acc = [0.0f64; LANES];
+        for (ca, cb) in a[..main]
+            .chunks_exact(LANES)
+            .zip(b[..main].chunks_exact(LANES))
+        {
+            for lane in 0..LANES {
+                acc[lane] += ca[lane] * cb[lane];
+            }
+        }
+        let mut width = LANES / 2;
+        while width > 0 {
+            for lane in 0..width {
+                acc[lane] += acc[lane + width];
+            }
+            width /= 2;
+        }
+        let mut sum = acc[0];
+        for (x, y) in a[main..].iter().zip(&b[main..]) {
+            sum += x * y;
+        }
+        sum
+    }
+
+    /// The cached-norm distance matrix computed pair by pair with [`dot`]:
+    /// the bit oracle of the Gram kernel's full, parallel and incremental
+    /// passes.
+    pub fn gram_squared_distances(proposals: &[Vector]) -> Vec<f64> {
+        let n = proposals.len();
+        let norms: Vec<f64> = proposals
+            .iter()
+            .map(|v| dot(v.as_slice(), v.as_slice()))
+            .collect();
+        let mut d = vec![0.0; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let dist = norms[i] + norms[j]
+                    - 2.0 * dot(proposals[i].as_slice(), proposals[j].as_slice());
+                let dist = if dist < 0.0 { 0.0 } else { dist };
+                d[i * n + j] = dist;
+                d[j * n + i] = dist;
+            }
+        }
+        d
+    }
+
     /// Full symmetric pairwise distance matrix via `Vector::squared_distance`.
     pub fn pairwise_squared_distances(proposals: &[Vector]) -> Vec<f64> {
         let n = proposals.len();
@@ -390,6 +469,165 @@ mod tests {
                 (fast - reference).abs() <= 1e-12 * reference.abs().max(1.0),
                 "len {len}: {fast} vs {reference}"
             );
+        }
+    }
+
+    /// Bit equality for the exact-oracle tests. Rust leaves the payload and
+    /// sign of a NaN produced by arithmetic unspecified (the vectorizer may
+    /// commute an add), so any NaN matches any NaN; every other value,
+    /// signed zeros and infinities included, must match bit for bit.
+    fn same_bits(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// Vectors exercising every float class the kernel can meet: Gaussian
+    /// values at three spreads, then signed zeros, subnormals and
+    /// non-finite values sprinkled over a Gaussian background.
+    fn oracle_cases(len: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f64>> {
+        let special = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 7.0,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut cases: Vec<Vec<f64>> = [1e-3, 1.0, 1e6]
+            .iter()
+            .map(|&spread| Vector::gaussian(len, 0.0, spread, rng).into_inner())
+            .collect();
+        cases.push(
+            (0..len)
+                .map(|k| if k % 3 == 0 { -0.0 } else { 0.0 })
+                .collect(),
+        );
+        cases.push(
+            (0..len)
+                .map(|k| f64::MIN_POSITIVE * ((k % 11) as f64 - 5.0) / 16.0)
+                .collect(),
+        );
+        for (s, &value) in special.iter().enumerate() {
+            let mut v = Vector::gaussian(len, 0.0, 1.0, rng).into_inner();
+            for k in (s % 5..len).step_by(7 + s) {
+                v[k] = value;
+            }
+            cases.push(v);
+        }
+        cases
+    }
+
+    /// The full-width [`dot`] reproduces the original single-loop kernel
+    /// bit for bit across the chunk boundaries and every float class.
+    #[test]
+    fn dot_is_bit_identical_to_the_naive_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let lengths = (0..=130).chain(255..=257).chain([1000, 1001]);
+        let mut compared = 0;
+        for len in lengths {
+            let cases = oracle_cases(len, &mut rng);
+            for a in &cases {
+                for b in &cases {
+                    let (fast, oracle) = (dot(a, b), naive::dot(a, b));
+                    assert!(
+                        same_bits(fast, oracle),
+                        "len {len}: dot {fast:e} ({:#x}) vs oracle {oracle:e} ({:#x})",
+                        fast.to_bits(),
+                        oracle.to_bits()
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 20_000);
+    }
+
+    /// Proposal sets of several shapes for the matrix oracles; the NaN, inf
+    /// and signed-zero rows come from [`oracle_cases`].
+    fn oracle_proposal_sets(rng: &mut ChaCha8Rng) -> Vec<Vec<Vector>> {
+        let mut sets = Vec::new();
+        for (n, dim) in [
+            (2, 1),
+            (5, 31),
+            (9, 32),
+            (13, 33),
+            (17, 64),
+            (11, 100),
+            (7, 257),
+        ] {
+            let cases = oracle_cases(dim, rng);
+            for spread in [1e-3, 1.0, 1e6] {
+                sets.push(
+                    (0..n)
+                        .map(|_| Vector::gaussian(dim, 0.5, spread, rng))
+                        .collect(),
+                );
+            }
+            // Every float class in one set, Gaussian rows in between.
+            sets.push(
+                (0..n.max(cases.len()))
+                    .map(|k| match cases.get(k) {
+                        Some(case) if k % 2 == 1 => Vector::from(case.clone()),
+                        _ => Vector::gaussian(dim, 0.0, 1.0, rng),
+                    })
+                    .collect(),
+            );
+        }
+        sets
+    }
+
+    fn assert_same_matrix(fast: &[f64], oracle: &[f64], what: &str) {
+        assert_eq!(fast.len(), oracle.len(), "{what}: shape");
+        for (k, (f, o)) in fast.iter().zip(oracle).enumerate() {
+            assert!(
+                same_bits(*f, *o),
+                "{what}, entry {k}: {f:e} vs oracle {o:e}"
+            );
+        }
+    }
+
+    /// The full distance matrix, on the sequential and on the parallel path,
+    /// is the oracle's pair-by-pair Gram matrix bit for bit.
+    #[test]
+    fn distance_matrix_is_bit_identical_to_the_naive_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for (s, proposals) in oracle_proposal_sets(&mut rng).iter().enumerate() {
+            let oracle = naive::gram_squared_distances(proposals);
+            for parallel in [false, true] {
+                let (mut norms, mut out) = (Vec::new(), Vec::new());
+                pairwise_squared_distances_into(proposals, &mut norms, &mut out, parallel);
+                assert_same_matrix(&out, &oracle, &format!("set {s}, parallel {parallel}"));
+            }
+        }
+    }
+
+    /// The incremental update lands on the oracle's matrix of the new
+    /// proposal set, whichever slots changed.
+    #[test]
+    fn incremental_update_is_bit_identical_to_the_naive_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        let sets = oracle_proposal_sets(&mut rng);
+        for (s, proposals) in sets.iter().enumerate() {
+            let n = proposals.len();
+            let (mut norms, mut out) = (Vec::new(), Vec::new());
+            pairwise_squared_distances_into(proposals, &mut norms, &mut out, false);
+            // Swap in the rows of the next set (same shape when it has one)
+            // at a stride that varies with the set.
+            let donor = &sets[(s + 1) % sets.len()];
+            let changed: Vec<bool> = (0..n).map(|i| (i + s) % (1 + s % 3) == 0).collect();
+            let mut updated = proposals.clone();
+            for (i, slot) in updated.iter_mut().enumerate() {
+                if changed[i] {
+                    *slot = match donor.get(i) {
+                        Some(v) if v.dim() == slot.dim() => v.clone(),
+                        _ => Vector::gaussian(slot.dim(), -1.0, 3.0, &mut rng),
+                    };
+                }
+            }
+            pairwise_squared_distances_update(&updated, &mut norms, &mut out, &changed);
+            let oracle = naive::gram_squared_distances(&updated);
+            assert_same_matrix(&out, &oracle, &format!("set {s}, incremental"));
         }
     }
 

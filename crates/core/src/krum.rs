@@ -106,8 +106,7 @@ impl Aggregator for Krum {
         proposals: &[Vector],
     ) -> Result<(), AggregationError> {
         self.check(proposals)?;
-        let parallel = ctx.policy().use_parallel(self.n);
-        ctx.pairwise_distances_cached(proposals, parallel);
+        ctx.pairwise_distances_cached(proposals);
         kernel::scores_from_distances_into(
             &ctx.distances,
             self.n,
@@ -205,8 +204,7 @@ impl Aggregator for MultiKrum {
                 found: proposals.len(),
             });
         }
-        let parallel = ctx.policy().use_parallel(self.n);
-        ctx.pairwise_distances_cached(proposals, parallel);
+        ctx.pairwise_distances_cached(proposals);
         kernel::scores_from_distances_into(
             &ctx.distances,
             self.n,

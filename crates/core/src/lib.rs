@@ -75,16 +75,19 @@ mod stateful;
 mod subset;
 
 /// The pre-optimization (per-pair, sort-based) Krum reference path, exposed
-/// for benchmarks comparing it against the cached-norm kernel. Enable the
-/// `naive` feature to use it.
+/// for benchmarks comparing it against the cached-norm kernel, and the bit
+/// oracles of the kernel's dot product and Gram matrix. Enable the `naive`
+/// feature to use it.
 #[cfg(feature = "naive")]
 pub mod naive {
-    pub use crate::kernel::naive::{krum_choose, krum_scores, pairwise_squared_distances};
+    pub use crate::kernel::naive::{
+        dot, gram_squared_distances, krum_choose, krum_scores, pairwise_squared_distances,
+    };
 }
 
 pub use aggregator::{validate_proposals, Aggregation, Aggregator};
 pub use average::{Average, WeightedAverage};
-pub use context::{AggregationContext, ExecutionPolicy};
+pub use context::{AggregationContext, ExecutionPolicy, PARALLEL_WORK};
 pub use distance::{ClosestToBarycenter, GeometricMedian};
 pub use error::AggregationError;
 pub use hierarchical::{Hierarchical, StageRule};

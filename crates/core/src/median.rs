@@ -14,9 +14,10 @@
 //! implementation here transposes a *block* of coordinates at a time into the
 //! context's column buffer — sized to stay L1-resident — then reduces each
 //! contiguous column. Blocks are independent, so under
-//! [`ExecutionPolicy::Parallel`](crate::ExecutionPolicy) (or `Auto` on large
-//! inputs) they fan out over the `rayon` pool; the sequential path reuses the
-//! single context buffer and performs zero heap allocations after warm-up.
+//! [`ExecutionPolicy::Parallel`](crate::ExecutionPolicy) (or `Auto` once the
+//! `n·d` values reach [`PARALLEL_WORK`](crate::PARALLEL_WORK)) they fan out
+//! over the `rayon` pool; the sequential path reuses the single context
+//! buffer and performs zero heap allocations after warm-up.
 //! Both paths reduce identical column contents in identical order, so their
 //! outputs are bit-identical (pinned by property tests below).
 
@@ -82,16 +83,6 @@ fn reduce_columns(
     }
 }
 
-/// Whether a coordinate-wise reduction over `n × dim` values is worth the
-/// thread pool.
-fn use_parallel_columns(ctx: &AggregationContext, n: usize, dim: usize) -> bool {
-    match ctx.policy() {
-        crate::ExecutionPolicy::Sequential => false,
-        crate::ExecutionPolicy::Parallel => true,
-        crate::ExecutionPolicy::Auto => n * dim >= 1 << 16 && rayon::current_num_threads() > 1,
-    }
-}
-
 /// Coordinate-wise median of the proposals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CoordinateWiseMedian;
@@ -116,7 +107,7 @@ impl Aggregator for CoordinateWiseMedian {
         proposals: &[Vector],
     ) -> Result<(), AggregationError> {
         let dim = validate_proposals(proposals)?;
-        let parallel = use_parallel_columns(ctx, proposals.len(), dim);
+        let parallel = ctx.policy().use_parallel(proposals.len() * dim);
         ctx.begin_mixed(dim);
         reduce_columns(
             proposals,
@@ -174,7 +165,7 @@ impl Aggregator for TrimmedMean {
             ));
         }
         let trim = self.trim;
-        let parallel = use_parallel_columns(ctx, n, dim);
+        let parallel = ctx.policy().use_parallel(n * dim);
         ctx.begin_mixed(dim);
         reduce_columns(
             proposals,

@@ -15,7 +15,11 @@ use crate::error::ModelError;
 use crate::loss::softmax;
 use crate::model::{Model, Prediction};
 
-/// Minimum batch size before the gradient computation fans out across threads.
+/// Rows per gradient range. [`Mlp::gradient`] splits a batch into
+/// consecutive ranges of this many rows and folds their partial sums in
+/// range order, so the gradient's bits depend on the batch alone, never on
+/// the host's core count. A batch of more than one range fans the ranges out
+/// across threads.
 const PARALLEL_THRESHOLD: usize = 64;
 
 /// Layer sizes and activation of an MLP; build one with [`MlpBuilder`].
@@ -323,13 +327,10 @@ impl Model for Mlp {
         self.check_batch(batch)?;
         let layers = self.unpack(params);
         let n = batch.len();
-        let (_, mut grad_w, mut grad_b) = if n >= PARALLEL_THRESHOLD {
-            // Split the batch into one chunk per thread and reduce.
-            let threads = rayon::current_num_threads().max(1);
-            let chunk = n.div_ceil(threads);
+        let (_, mut grad_w, mut grad_b) = if n > PARALLEL_THRESHOLD {
             let ranges: Vec<std::ops::Range<usize>> = (0..n)
-                .step_by(chunk)
-                .map(|start| start..(start + chunk).min(n))
+                .step_by(PARALLEL_THRESHOLD)
+                .map(|start| start..(start + PARALLEL_THRESHOLD).min(n))
                 .collect();
             let partials: Result<Vec<_>, ModelError> = ranges
                 .into_par_iter()
@@ -470,6 +471,49 @@ mod tests {
         let parallel = mlp.gradient(&params, &big).unwrap();
         let diff = (&sequential - &parallel).norm();
         assert!(diff < 1e-9, "parallel/sequential mismatch: {diff}");
+    }
+
+    /// The gradient is a serial, in-order fold over fixed 64-row ranges,
+    /// bit for bit: its value cannot depend on how many threads the host
+    /// offers.
+    #[test]
+    fn gradient_is_an_in_order_fold_over_fixed_ranges() {
+        let mlp = MlpBuilder::new(4, 3).hidden_layer(10).build().unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let params = mlp.init_parameters(InitStrategy::XavierUniform, &mut rng);
+        let layers = mlp.unpack(&params);
+        for rows in [63, 64, 65, 200, 3200] {
+            let ds = generators::gaussian_blobs(rows, 4, 3, 2.0, 0.3, &mut rng).unwrap();
+            let batch = BatchSampler::new(ds, rows).unwrap().full_batch();
+            let mut folded: Option<(f64, Vec<Matrix>, Vec<Vector>)> = None;
+            for start in (0..rows).step_by(64) {
+                let range = start..(start + 64).min(rows);
+                let part = mlp.range_loss_and_gradient(&layers, &batch, range).unwrap();
+                folded = Some(match folded {
+                    None => part,
+                    Some(mut acc) => {
+                        acc.0 += part.0;
+                        for (a, p) in acc.1.iter_mut().zip(&part.1) {
+                            a.axpy(1.0, p);
+                        }
+                        for (a, p) in acc.2.iter_mut().zip(&part.2) {
+                            a.axpy(1.0, p);
+                        }
+                        acc
+                    }
+                });
+            }
+            let (_, mut gw, mut gb) = folded.unwrap();
+            let scale = 1.0 / rows as f64;
+            gw.iter_mut().for_each(|w| w.scale(scale));
+            gb.iter_mut().for_each(|b| b.scale(scale));
+            let serial = mlp.pack(&gw, &gb);
+            let gradient = mlp.gradient(&params, &batch).unwrap();
+            assert_eq!(gradient.dim(), serial.dim());
+            for (k, (g, s)) in gradient.iter().zip(serial.iter()).enumerate() {
+                assert_eq!(g.to_bits(), s.to_bits(), "{rows} rows, coordinate {k}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! installs a counting global allocator and pins that contract for Krum,
 //! Multi-Krum, the coordinate-wise median and the trimmed mean (the rules
 //! named by the server hot paths), plus the allocation-free kernel shared
-//! with `closest-to-barycenter`.
+//! with `closest-to-barycenter`. The default `Auto` policy keeps every pass
+//! below `PARALLEL_WORK` multiply-adds on the calling thread, so it is
+//! pinned at the benchmark's shapes too, and a whole warm engine round is
+//! pinned at its measured count.
 //!
 //! The sampling path is pinned the same way: a warm `ChaCha8Rng::fill_bytes`
 //! and `Normal::fill` allocate nothing, and one Gaussian gradient estimate
@@ -20,9 +23,12 @@ use std::cell::Cell;
 
 use krum::aggregation::{
     AggregationContext, Aggregator, ClosestToBarycenter, CoordinateWiseMedian, ExecutionPolicy,
-    Hierarchical, Krum, MultiKrum, StageRule, TrimmedMean,
+    Hierarchical, Krum, MultiKrum, RuleSpec, StageRule, TrimmedMean,
 };
-use krum::models::{GaussianEstimator, GradientEstimator, QuadraticCost};
+use krum::attacks::AttackSpec;
+use krum::dist::LearningRateSchedule;
+use krum::models::{EstimatorSpec, GaussianEstimator, GradientEstimator, QuadraticCost};
+use krum::scenario::{ExecutionSpec, Scenario, ScenarioBuilder};
 use krum::tensor::Vector;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -241,6 +247,94 @@ fn hierarchical_aggregation_is_allocation_free_after_warmup() {
         after - before
     );
     assert_eq!(ctx.output(), &expected);
+}
+
+/// Allocations of `calls` warm `aggregate_in` calls of `rule` on a default
+/// (`Auto` policy) context, after two warm-up calls.
+fn warm_default_policy_allocations(rule: &dyn Aggregator, ps: &[Vector], calls: usize) -> u64 {
+    let mut ctx = AggregationContext::new();
+    for _ in 0..2 {
+        rule.aggregate_in(&mut ctx, ps).unwrap();
+    }
+    let before = allocations();
+    for _ in 0..calls {
+        rule.aggregate_in(&mut ctx, ps).unwrap();
+    }
+    let spent = allocations() - before;
+    assert_eq!(ctx.output(), &rule.aggregate_detailed(ps).unwrap());
+    spent
+}
+
+/// Under the default policy, every per-round shape the benchmark and the
+/// smoke scenarios aggregate stays on the calling thread: no scoped thread
+/// spawns, so a warm call allocates nothing. A fan-out would cost about 18
+/// allocations per call.
+#[test]
+fn default_policy_aggregation_is_allocation_free_at_benchmark_shapes() {
+    for (n, f, dim) in [(40, 4, 1000), (380, 40, 64)] {
+        let ps = proposals(n, dim);
+        let rules: Vec<(&str, Box<dyn Aggregator>)> = vec![
+            ("krum", Box::new(Krum::new(n, f).unwrap())),
+            ("multi-krum", Box::new(MultiKrum::new(n, f, n - f).unwrap())),
+            (
+                "closest-to-barycenter",
+                Box::new(ClosestToBarycenter::new()),
+            ),
+            ("median", Box::new(CoordinateWiseMedian::new())),
+        ];
+        for (name, rule) in &rules {
+            let spent = warm_default_policy_allocations(rule.as_ref(), &ps, 3);
+            assert_eq!(spent, 0, "`{name}` at {n} x {dim} allocated {spent} times");
+        }
+    }
+    // The hierarchical smoke shape: 16 groups of 64 over n = 1024, d = 8.
+    let rule = Hierarchical::new(1024, 64, 16, StageRule::Krum, StageRule::Krum).unwrap();
+    let spent = warm_default_policy_allocations(&rule, &proposals(1024, 8), 3);
+    assert_eq!(spent, 0, "hierarchical:groups=16 allocated {spent} times");
+}
+
+/// A warm engine round of the benchmark's reference scenario (n = 40,
+/// f = 4, d = 1000, Krum against `sign-flip:scale=3`, σ = 0.2, sequential
+/// engine, default aggregation policy) makes exactly this many allocations:
+/// 2 per honest estimate (the gradient and its noise, 72 in all) and 7
+/// elsewhere in the round. Aggregation contributes none. ROADMAP item 3 (an
+/// allocation-free engine round) lowers this pin.
+const E10_ROUND_ALLOCATIONS: u64 = 79;
+
+#[test]
+fn warm_engine_round_makes_the_pinned_allocation_count() {
+    let rounds = 40;
+    let spec = ScenarioBuilder::new(40, 4)
+        .name("inproc-e10")
+        .rule(RuleSpec::Krum)
+        .attack(AttackSpec::SignFlip { scale: 3.0 })
+        .estimator(EstimatorSpec::GaussianQuadratic {
+            dim: 1000,
+            sigma: 0.2,
+        })
+        .schedule(LearningRateSchedule::Constant { gamma: 0.1 })
+        .rounds(rounds)
+        .eval_every(rounds)
+        .seed(31)
+        .init_fill(1.0)
+        .spec()
+        .unwrap();
+    assert_eq!(spec.execution, ExecutionSpec::Sequential);
+    let mut scenario = Scenario::from_spec(spec).unwrap();
+    let mut params = scenario.start().clone();
+    // Round 0 evaluates; rounds 1..5 warm the workspaces.
+    for round in 0..5 {
+        scenario.engine_mut().step(&mut params, round).unwrap();
+    }
+    for round in 5..15 {
+        let before = allocations();
+        scenario.engine_mut().step(&mut params, round).unwrap();
+        let spent = allocations() - before;
+        assert_eq!(
+            spent, E10_ROUND_ALLOCATIONS,
+            "round {round} allocated {spent} times"
+        );
+    }
 }
 
 /// The Gaussian sampler's bulk paths draw into caller-owned memory: the
