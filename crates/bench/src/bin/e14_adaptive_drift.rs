@@ -29,7 +29,7 @@ use krum_bench::Table;
 use krum_core::RuleSpec;
 use krum_dist::LearningRateSchedule;
 use krum_models::EstimatorSpec;
-use krum_scenario::{Scenario, ScenarioBuilder, ScenarioReport, ScenarioSpec};
+use krum_scenario::{Scenario, ScenarioBuilder, ScenarioSpec};
 use krum_server::run_loopback;
 
 const N: usize = 40;
@@ -59,35 +59,6 @@ fn spec(rule: RuleSpec) -> ScenarioSpec {
         .expect("the e14 spec is valid")
 }
 
-/// Deterministic trajectory equality, drift columns included.
-fn assert_identical(a: &ScenarioReport, b: &ScenarioReport, what: &str) {
-    assert_eq!(a.final_params, b.final_params, "{what}: final params");
-    assert_eq!(a.history.len(), b.history.len(), "{what}");
-    for (x, y) in a.history.rounds.iter().zip(&b.history.rounds) {
-        assert_eq!(
-            x.aggregate_norm, y.aggregate_norm,
-            "{what} round {}",
-            x.round
-        );
-        assert_eq!(
-            x.selected_worker, y.selected_worker,
-            "{what} round {}",
-            x.round
-        );
-        assert_eq!(
-            x.attacker_displacement, y.attacker_displacement,
-            "{what} round {}",
-            x.round
-        );
-        assert_eq!(
-            x.dist_to_honest_mean, y.dist_to_honest_mean,
-            "{what} round {}",
-            x.round
-        );
-        assert_eq!(x.reputation_spread, y.reputation_spread, "{what}");
-    }
-}
-
 struct Cell {
     label: &'static str,
     displacement: f64,
@@ -108,7 +79,8 @@ fn run(label: &'static str, rule: RuleSpec) -> Cell {
         .expect("run succeeds");
     // Stateful attack memory and stateful rule memory are deterministic:
     // two runs of the same seed must agree on every bit.
-    assert_identical(&a, &b, label);
+    assert_eq!(a.final_params, b.final_params, "{label}: final params");
+    assert_eq!(a.history.trajectory_mismatch(&b.history), None, "{label}");
     let displacement = a
         .history
         .final_attacker_displacement()
@@ -158,10 +130,12 @@ fn main() {
         .expect("spec builds")
         .run()
         .expect("in-process run succeeds");
-    assert_identical(
-        &served,
-        &in_process,
-        "loopback inlier-drift vs reputation-weighted",
+    let what = "loopback inlier-drift vs reputation-weighted";
+    assert_eq!(served.final_params, in_process.final_params, "{what}");
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None,
+        "{what}"
     );
 
     let mut table = Table::new([

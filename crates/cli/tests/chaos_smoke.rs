@@ -11,23 +11,8 @@ mod common;
 use std::path::Path;
 use std::process::{Command, Output};
 
-use common::{column, krum_csv, scenario_path, scratch_dir, table};
+use common::{assert_same_trajectory, column, krum_csv, scenario_path, scratch_dir, table};
 use krum_scenario::{ExecutionSpec, ScenarioSpec};
-
-/// Columns that must be bit-equal between the chaos run and the clean
-/// serving (timing, wire and fault-tolerance columns legitimately differ).
-const DETERMINISTIC_COLUMNS: &[&str] = &[
-    "round",
-    "loss",
-    "accuracy",
-    "true_gradient_norm",
-    "aggregate_norm",
-    "alignment",
-    "distance_to_optimum",
-    "selected_worker",
-    "selected_byzantine",
-    "learning_rate",
-];
 
 /// The churn plan's spec with its fault plan removed.
 fn clean_spec() -> ScenarioSpec {
@@ -78,16 +63,8 @@ fn chaos_run_matches_a_clean_serving_of_the_same_spec() {
     );
     std::fs::remove_dir_all(&dir).ok();
 
+    assert_same_trajectory(&chaos, &clean);
     let (chaos_header, chaos_rows) = table(&chaos);
-    let (clean_header, clean_rows) = table(&clean);
-    assert!(!chaos_rows.is_empty());
-    assert_eq!(chaos_rows.len(), clean_rows.len());
-    for name in DETERMINISTIC_COLUMNS {
-        let (i, j) = (column(&chaos_header, name), column(&clean_header, name));
-        for (a, b) in chaos_rows.iter().zip(&clean_rows) {
-            assert_eq!(a[i], b[j], "{name} diverged in round {}", a[0]);
-        }
-    }
 
     // The fault-tolerance columns account for the churn: at least one
     // mid-job rejoin, and the fault plan's headline survives in the CSV

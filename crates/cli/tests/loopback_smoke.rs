@@ -1,26 +1,11 @@
 //! Process-level pin for `krum loopback`: the smoke scenario served over
 //! loopback sockets by the built binary reproduces `krum run`'s CSV — the
-//! same header, bit-equal deterministic columns — and only the served rows
-//! fill the wire columns.
+//! same header, equal trajectory columns — and only the served rows fill
+//! the wire columns.
 
 mod common;
 
-use common::{column, krum_csv, scenario_path, scratch_dir, table};
-
-/// Columns that must be bit-equal between the in-process and the served
-/// run (timing and wire columns legitimately differ).
-const DETERMINISTIC_COLUMNS: &[&str] = &[
-    "round",
-    "loss",
-    "accuracy",
-    "true_gradient_norm",
-    "aggregate_norm",
-    "alignment",
-    "distance_to_optimum",
-    "selected_worker",
-    "selected_byzantine",
-    "learning_rate",
-];
+use common::{assert_same_trajectory, column, krum_csv, scenario_path, scratch_dir, table};
 
 #[test]
 fn loopback_csv_matches_the_in_process_run_and_fills_the_wire_columns() {
@@ -34,15 +19,7 @@ fn loopback_csv_matches_the_in_process_run_and_fills_the_wire_columns() {
     let (header, run_rows) = table(&run);
     let (served_header, served_rows) = table(&served);
     assert_eq!(header, served_header, "both runs export the same columns");
-    assert!(!run_rows.is_empty());
-    assert_eq!(run_rows.len(), served_rows.len());
-
-    for name in DETERMINISTIC_COLUMNS {
-        let i = column(&header, name);
-        for (a, b) in run_rows.iter().zip(&served_rows) {
-            assert_eq!(a[i], b[i], "{name} diverged in round {}", a[0]);
-        }
-    }
+    assert_same_trajectory(&run, &served);
 
     let wire = column(&header, "wire_bytes");
     let arrival = column(&header, "arrival_nanos");

@@ -11,37 +11,18 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Read};
-use std::net::TcpListener;
-use std::path::PathBuf;
+mod common;
+
+use std::io::Read;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{assert_same_trajectory, column, scratch_dir, spawn_serve, table};
 use krum_attacks::AttackSpec;
 use krum_core::RuleSpec;
 use krum_dist::{ClusterSpec, LearningRateSchedule};
 use krum_models::EstimatorSpec;
 use krum_scenario::{CrashPolicy, ExecutionSpec, InitSpec, ProbeSpec, ScenarioSpec};
-
-/// The columns that must be bit-identical between the interrupted and the
-/// uninterrupted run (timing and wire columns legitimately differ). The
-/// drift and reputation columns are deterministic too: the tracker and the
-/// rule state both resume from the checkpoint.
-const DETERMINISTIC_COLUMNS: &[&str] = &[
-    "round",
-    "loss",
-    "accuracy",
-    "true_gradient_norm",
-    "aggregate_norm",
-    "alignment",
-    "distance_to_optimum",
-    "selected_worker",
-    "selected_byzantine",
-    "learning_rate",
-    "dist_to_honest_mean",
-    "attacker_displacement",
-    "reputation_spread",
-];
 
 fn base_spec(name: &str) -> ScenarioSpec {
     ScenarioSpec {
@@ -72,88 +53,26 @@ fn base_spec(name: &str) -> ScenarioSpec {
     }
 }
 
-fn temp_dir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("krum-serve-resume-{}-{test}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Picks a port the OS considers free right now; both serve processes must
-/// listen on the *same* address because the workers rejoin the peer they
-/// first connected to.
-fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    drop(listener);
-    addr.to_string()
-}
-
-/// Spawns `krum <args…>` with piped stdout and waits for the serve banner so
-/// workers are only started against a live listener.
-fn spawn_serve(args: &[&str]) -> (Child, BufReader<std::process::ChildStdout>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_krum"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("krum binary spawns");
-    let mut reader = BufReader::new(child.stdout.take().unwrap());
-    let mut banner = String::new();
-    reader.read_line(&mut banner).unwrap();
-    assert!(
-        banner.contains("serving on"),
-        "expected the serve banner, got: {banner}"
-    );
-    (child, reader)
-}
-
-/// Strips the CSV down to its deterministic columns, one string per row.
-fn deterministic_rows(csv: &str) -> Vec<String> {
-    let mut lines = csv.lines().filter(|l| !l.starts_with('#'));
-    let header = lines.next().expect("csv has a header row");
-    let names: Vec<&str> = header.split(',').collect();
-    let picks: Vec<usize> = DETERMINISTIC_COLUMNS
-        .iter()
-        .map(|want| {
-            names
-                .iter()
-                .position(|n| n == want)
-                .unwrap_or_else(|| panic!("column `{want}` missing from: {header}"))
-        })
-        .collect();
-    lines
-        .map(|line| {
-            let cells: Vec<&str> = line.split(',').collect();
-            picks
-                .iter()
-                .map(|&i| cells[i])
-                .collect::<Vec<_>>()
-                .join(",")
-        })
-        .collect()
-}
-
 /// The full kill -9 → resume → compare-to-control roundtrip for one spec.
 /// `connections` is the number of worker processes the job needs (honest
-/// workers plus one adversary connection when `f > 0`).
-fn kill9_roundtrip(tag: &str, spec: ScenarioSpec, connections: usize) -> Vec<String> {
-    let dir = temp_dir(tag);
+/// workers plus one adversary connection when `f > 0`). Returns the
+/// resumed run's CSV.
+fn kill9_roundtrip(tag: &str, spec: ScenarioSpec, connections: usize) -> String {
+    let dir = scratch_dir(&format!("serve-resume-{tag}"));
     let ckpt_dir = dir.join("ckpts");
     let out_dir = dir.join("out");
     std::fs::create_dir_all(&ckpt_dir).unwrap();
     let spec_path = dir.join("spec.json");
     std::fs::write(&spec_path, spec.to_json().unwrap()).unwrap();
-    let addr = free_addr();
 
     // Serve with per-round checkpoints, then staff it with real worker
-    // processes that are allowed to rejoin. The stdout reader must outlive
-    // the child: dropping it closes the pipe and turns the server's own
-    // summary lines into EPIPE failures.
-    let (mut serve, _serve_out) = spawn_serve(&[
-        "serve",
+    // processes that are allowed to rejoin. Both serve processes listen on
+    // the same address because the workers rejoin the peer they first
+    // connected to.
+    let (mut serve, _serve_out, addr) = spawn_serve(&[
         spec_path.to_str().unwrap(),
         "--listen",
-        &addr,
+        "127.0.0.1:0",
         "--checkpoint-dir",
         ckpt_dir.to_str().unwrap(),
         "--checkpoint-every",
@@ -189,8 +108,7 @@ fn kill9_roundtrip(tag: &str, spec: ScenarioSpec, connections: usize) -> Vec<Str
     // processes are mid-backoff and rejoin it on their own. Checkpoint
     // less often on the way out — re-serialising the whole history every
     // round is the slow part, not the rounds.
-    let (mut resumed, mut resumed_out) = spawn_serve(&[
-        "serve",
+    let (mut resumed, mut resumed_out, _) = spawn_serve(&[
         "--resume",
         ckpt_dir.to_str().unwrap(),
         "--listen",
@@ -255,20 +173,15 @@ fn kill9_roundtrip(tag: &str, spec: ScenarioSpec, connections: usize) -> Vec<Str
     );
     let resumed_csv = std::fs::read_to_string(out_dir.join(format!("{}.csv", spec.name))).unwrap();
     let control_csv = std::fs::read_to_string(&control_csv).unwrap();
-    let resumed_rows = deterministic_rows(&resumed_csv);
-    let control_rows = deterministic_rows(&control_csv);
     assert_eq!(
-        resumed_rows.len(),
+        table(&resumed_csv).1.len(),
         spec.rounds,
         "all rounds must be present"
     );
-    assert_eq!(
-        resumed_rows, control_rows,
-        "a SIGKILL + resume must be invisible in the deterministic columns"
-    );
+    assert_same_trajectory(&resumed_csv, &control_csv);
 
     std::fs::remove_dir_all(&dir).unwrap();
-    resumed_rows
+    resumed_csv
 }
 
 #[test]
@@ -289,20 +202,17 @@ fn sigkilled_reputation_weighted_serve_resumes_bit_identically() {
     spec.rule = RuleSpec::ReputationWeighted { eta: 0.2 };
     spec.attack = AttackSpec::SignFlip { scale: 3.0 };
     spec.seed = 41;
-    let rows = kill9_roundtrip("kill9-rw", spec, 4);
+    let csv = kill9_roundtrip("kill9-rw", spec, 4);
     // The stateful columns are genuinely live in the stitched run: at
-    // least one row carries a finite reputation spread and displacement.
-    let live = rows.iter().any(|row| {
-        let cells: Vec<&str> = row.split(',').collect();
-        let spread = cells[DETERMINISTIC_COLUMNS
-            .iter()
-            .position(|c| *c == "reputation_spread")
-            .unwrap()];
-        let displacement = cells[DETERMINISTIC_COLUMNS
-            .iter()
-            .position(|c| *c == "attacker_displacement")
-            .unwrap()];
-        !spread.is_empty() && !displacement.is_empty()
-    });
-    assert!(live, "reputation/drift columns never filled in: {rows:?}");
+    // least one row carries a reputation spread and a displacement.
+    let (header, rows) = table(&csv);
+    let (spread, displacement) = (
+        column(&header, "reputation_spread"),
+        column(&header, "attacker_displacement"),
+    );
+    assert!(
+        rows.iter()
+            .any(|row| !row[spread].is_empty() && !row[displacement].is_empty()),
+        "reputation/drift columns never filled in: {csv}"
+    );
 }

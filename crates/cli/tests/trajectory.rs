@@ -97,23 +97,17 @@ fn json_scenario_is_bit_identical_across_cli_scenario_and_legacy_paths() {
     assert_eq!(cli_report.final_params, api_report.final_params);
     assert_eq!(api_report.final_params, legacy_params);
 
-    // Bit-identical per-round trajectories (aggregate norms, selections and
-    // distances are deterministic functions of the parameter path).
+    // Bit-identical per-round trajectories: every trajectory column is a
+    // deterministic function of the parameter path.
     assert_eq!(cli_report.history.len(), spec.rounds);
-    assert_eq!(api_report.history.len(), legacy_history.len());
-    for ((cli, api), legacy) in cli_report
-        .history
-        .rounds
-        .iter()
-        .zip(&api_report.history.rounds)
-        .zip(&legacy_history.rounds)
-    {
-        assert_eq!(cli.aggregate_norm, api.aggregate_norm);
-        assert_eq!(api.aggregate_norm, legacy.aggregate_norm);
-        assert_eq!(cli.distance_to_optimum, legacy.distance_to_optimum);
-        assert_eq!(cli.selected_worker, legacy.selected_worker);
-        assert_eq!(cli.loss, legacy.loss);
-    }
+    assert_eq!(
+        cli_report.history.trajectory_mismatch(&api_report.history),
+        None
+    );
+    assert_eq!(
+        api_report.history.trajectory_mismatch(&legacy_history),
+        None
+    );
 
     // The exported CSV is well-formed: metadata comments, then the standard
     // header, then one complete row per round whose norms match the report.
@@ -127,13 +121,20 @@ fn json_scenario_is_bit_identical_across_cli_scenario_and_legacy_paths() {
     assert!(lines[..header_idx].iter().all(|l| l.starts_with("# ")));
     let rows = &lines[header_idx + 1..];
     assert_eq!(rows.len(), spec.rounds);
-    let cells = RoundRecord::csv_header().split(',').count();
+    let norm_at = lines[header_idx]
+        .split(',')
+        .position(|name| name == "aggregate_norm")
+        .expect("aggregate_norm column present");
     for (row, record) in rows.iter().zip(&api_report.history.rounds) {
         let fields: Vec<&str> = row.split(',').collect();
-        assert_eq!(fields.len(), cells, "malformed row: {row}");
+        assert_eq!(
+            fields.len(),
+            RoundRecord::COLUMNS.len(),
+            "malformed row: {row}"
+        );
         // f64 Display round-trips exactly, so parsing the CSV cell back
         // recovers the bit pattern the engine produced.
-        let norm: f64 = fields[4].parse().unwrap();
+        let norm: f64 = fields[norm_at].parse().unwrap();
         assert_eq!(norm, record.aggregate_norm);
     }
 

@@ -249,6 +249,7 @@ mod tests {
         let (seq, seq_history) = sequential.run(start.clone()).unwrap();
         let (thr, thr_history) = threaded.run(start).unwrap();
         assert_eq!(seq, thr, "engines must follow identical trajectories");
+        assert_eq!(seq_history.trajectory_mismatch(&thr_history), None);
         // The network charge only widens the round timings.
         assert!(thr_history.mean_round_nanos() >= seq_history.mean_round_nanos());
         assert!(thr_history.mean_round_nanos() >= 2_000.0);
@@ -394,10 +395,7 @@ mod tests {
         let (a, ha) = sequential.run(start.clone()).unwrap();
         let (b, hb) = reuse.run(start).unwrap();
         assert_eq!(a, b, "full-refresh reuse must reproduce the barrier");
-        for (ra, rb) in ha.rounds.iter().zip(hb.rounds.iter()) {
-            assert_eq!(ra.aggregate_norm.to_bits(), rb.aggregate_norm.to_bits());
-            assert_eq!(ra.selected_worker, rb.selected_worker);
-        }
+        assert_eq!(ha.trajectory_mismatch(&hb), None);
         // Every round refreshed everything: no staleness anywhere.
         assert!(hb
             .rounds
@@ -435,14 +433,8 @@ mod tests {
             let (b, hb) = uncached.run(start).unwrap();
             let name = cached.new_history().attack;
             assert_eq!(a, b, "cache must not change the trajectory ({name})");
+            assert_eq!(ha.trajectory_mismatch(&hb), None, "{name}");
             for (ra, rb) in ha.rounds.iter().zip(hb.rounds.iter()) {
-                assert_eq!(
-                    ra.aggregate_norm.to_bits(),
-                    rb.aggregate_norm.to_bits(),
-                    "round {} diverged under {name}",
-                    ra.round
-                );
-                assert_eq!(ra.selected_worker, rb.selected_worker);
                 assert_eq!(ra.stale_in_quorum, rb.stale_in_quorum);
             }
             // The partial refresh actually exercised staleness.
@@ -537,11 +529,7 @@ mod tests {
         let (seq, seq_history) = sequential.run(start.clone()).unwrap();
         let (qrm, qrm_history) = quorum.run(start).unwrap();
         assert_eq!(seq, qrm, "full-quorum async must equal the barrier");
-        for (a, b) in seq_history.rounds.iter().zip(&qrm_history.rounds) {
-            assert_eq!(a.aggregate_norm, b.aggregate_norm);
-            assert_eq!(a.selected_worker, b.selected_worker);
-            assert_eq!(a.distance_to_optimum, b.distance_to_optimum);
-        }
+        assert_eq!(seq_history.trajectory_mismatch(&qrm_history), None);
         // A full quorum never carries or drops anything.
         assert!((qrm_history.mean_quorum_size() - n as f64).abs() < 1e-12);
         assert_eq!(qrm_history.total_dropped_stale(), 0);
@@ -577,12 +565,11 @@ mod tests {
         let (a, ha) = run();
         let (b, hb) = run();
         assert_eq!(a, b);
-        // Every deterministic column matches bit-for-bit (the measured
-        // wall-clock nanos are the only fields allowed to differ).
+        // Every trajectory column matches, and so do the simulated network
+        // charge and the quorum columns (the measured wall-clock nanos are
+        // the only fields allowed to differ).
+        assert_eq!(ha.trajectory_mismatch(&hb), None);
         for (x, y) in ha.rounds.iter().zip(&hb.rounds) {
-            assert_eq!(x.aggregate_norm, y.aggregate_norm);
-            assert_eq!(x.selected_worker, y.selected_worker);
-            assert_eq!(x.distance_to_optimum, y.distance_to_optimum);
             assert_eq!(x.network_nanos, y.network_nanos, "simulated charge");
             assert_eq!(x.quorum_size, y.quorum_size);
             assert_eq!(x.stale_in_quorum, y.stale_in_quorum);

@@ -1,12 +1,9 @@
 //! Exporters: CSV and JSON serialisation of training histories.
 
-use std::io::Write;
-use std::path::Path;
-
 use thiserror::Error;
 
 use crate::history::TrainingHistory;
-use crate::round::RoundRecord;
+use crate::round::{Column, RoundRecord};
 
 /// Errors raised when exporting metrics.
 #[derive(Debug, Error)]
@@ -14,19 +11,25 @@ pub enum ExportError {
     /// Serialisation to JSON failed.
     #[error("failed to serialise history to JSON: {0}")]
     Json(#[from] serde_json::Error),
-    /// Writing to the output file failed.
-    #[error("failed to write export file: {0}")]
-    Io(#[from] std::io::Error),
 }
 
-/// Renders a history as a CSV document (header plus one row per round).
+/// Renders a history as a CSV document: a header of the
+/// [`RoundRecord::COLUMNS`] names, then one row per round (an empty cell
+/// for `None`).
 pub fn to_csv(history: &TrainingHistory) -> String {
-    let mut out = String::new();
-    out.push_str(RoundRecord::csv_header());
-    out.push('\n');
-    for r in &history.rounds {
-        out.push_str(&r.to_csv_row());
+    fn line(out: &mut String, mut cell: impl FnMut(&Column, &mut String)) {
+        for (i, column) in RoundRecord::COLUMNS.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            cell(column, out);
+        }
         out.push('\n');
+    }
+    let mut out = String::new();
+    line(&mut out, |column, out| out.push_str(column.name));
+    for record in &history.rounds {
+        line(&mut out, |column, out| (column.write)(record, out));
     }
     out
 }
@@ -38,28 +41,6 @@ pub fn to_csv(history: &TrainingHistory) -> String {
 /// Returns [`ExportError::Json`] if serialisation fails.
 pub fn to_json(history: &TrainingHistory) -> Result<String, ExportError> {
     Ok(serde_json::to_string_pretty(history)?)
-}
-
-/// Writes the CSV rendering of `history` to `path`.
-///
-/// # Errors
-///
-/// Returns [`ExportError::Io`] on filesystem errors.
-pub fn write_csv(history: &TrainingHistory, path: impl AsRef<Path>) -> Result<(), ExportError> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(to_csv(history).as_bytes())?;
-    Ok(())
-}
-
-/// Writes the JSON rendering of `history` to `path`.
-///
-/// # Errors
-///
-/// Returns [`ExportError::Json`] or [`ExportError::Io`].
-pub fn write_json(history: &TrainingHistory, path: impl AsRef<Path>) -> Result<(), ExportError> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(to_json(history)?.as_bytes())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -85,35 +66,94 @@ mod tests {
         assert!(lines[1].starts_with("0,2,"));
     }
 
+    /// The header line, byte for byte.
+    #[test]
+    fn csv_header_is_pinned() {
+        let csv = to_csv(&TrainingHistory::default());
+        assert_eq!(
+            csv,
+            "round,loss,accuracy,true_gradient_norm,aggregate_norm,alignment,\
+             distance_to_optimum,selected_worker,selected_byzantine,learning_rate,\
+             propose_nanos,attack_nanos,aggregation_nanos,network_nanos,round_nanos,\
+             quorum_size,stale_in_quorum,max_staleness_in_quorum,dropped_stale,\
+             pending_carryover,wire_bytes,raw_bytes,arrival_nanos,reconnects,\
+             degraded_rounds,checkpoint_bytes,dist_to_honest_mean,\
+             attacker_displacement,reputation_spread\n"
+        );
+        let trajectory: Vec<&str> = RoundRecord::COLUMNS
+            .iter()
+            .filter(|c| c.trajectory)
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(
+            trajectory.join(","),
+            "round,loss,accuracy,true_gradient_norm,aggregate_norm,alignment,\
+             distance_to_optimum,selected_worker,selected_byzantine,learning_rate,\
+             dist_to_honest_mean,attacker_displacement,reputation_spread"
+        );
+    }
+
+    /// Two rows, byte for byte: every column filled (negative zero, a value
+    /// whose `Display` has 300 decimals, a nanosecond count above 2^64,
+    /// infinity), and a fresh `RoundRecord::new`.
+    #[test]
+    fn csv_rows_are_pinned() {
+        let full = RoundRecord {
+            round: 7,
+            loss: Some(-0.0),
+            accuracy: Some(0.875),
+            true_gradient_norm: Some(1e-300),
+            aggregate_norm: 2.5,
+            alignment: Some(-0.25),
+            distance_to_optimum: Some(0.1 + 0.2),
+            selected_worker: Some(3),
+            selected_byzantine: Some(true),
+            learning_rate: 0.1,
+            propose_nanos: 11,
+            attack_nanos: 22,
+            aggregation_nanos: 33,
+            network_nanos: 44,
+            round_nanos: u128::from(u64::MAX) + 1,
+            quorum_size: Some(9),
+            stale_in_quorum: Some(2),
+            max_staleness_in_quorum: Some(1),
+            dropped_stale: Some(0),
+            pending_carryover: Some(3),
+            wire_bytes: Some(81_920),
+            raw_bytes: Some(327_680),
+            arrival_nanos: Some(1_500_000),
+            reconnects: Some(1),
+            degraded_rounds: Some(0),
+            checkpoint_bytes: Some(4_096),
+            dist_to_honest_mean: Some(0.5),
+            attacker_displacement: Some(-12.25),
+            reputation_spread: Some(f64::INFINITY),
+        };
+        let mut h = TrainingHistory::default();
+        h.push(full);
+        h.push(RoundRecord::new(1, 0.0, 0.1));
+        let csv = to_csv(&h);
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        let tiny = format!("0.{}1", "0".repeat(299));
+        assert_eq!(
+            rows,
+            [
+                format!(
+                    "7,-0,0.875,{tiny},2.5,-0.25,0.30000000000000004,3,true,0.1,\
+                     11,22,33,44,18446744073709551616,9,2,1,0,3,81920,327680,1500000,\
+                     1,0,4096,0.5,-12.25,inf"
+                )
+                .as_str(),
+                "1,,,,0,,,,,0.1,0,0,0,0,0,,,,,,,,,,,,,,",
+            ]
+        );
+    }
+
     #[test]
     fn json_round_trips_through_serde() {
         let h = history();
         let json = to_json(&h).unwrap();
         let back: TrainingHistory = serde_json::from_str(&json).unwrap();
         assert_eq!(h, back);
-    }
-
-    #[test]
-    fn files_are_written() {
-        let dir = std::env::temp_dir().join(format!("krum-metrics-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let csv_path = dir.join("history.csv");
-        let json_path = dir.join("history.json");
-        write_csv(&history(), &csv_path).unwrap();
-        write_json(&history(), &json_path).unwrap();
-        assert!(std::fs::read_to_string(&csv_path)
-            .unwrap()
-            .contains("round,loss"));
-        assert!(std::fs::read_to_string(&json_path)
-            .unwrap()
-            .contains("\"aggregator\": \"krum\""));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn io_errors_are_reported() {
-        let err = write_csv(&history(), "/nonexistent-dir/OUT/metrics.csv").unwrap_err();
-        assert!(matches!(err, ExportError::Io(_)));
-        assert!(err.to_string().contains("write"));
     }
 }

@@ -85,44 +85,38 @@ impl TrainingHistory {
         self.rounds.last()
     }
 
-    /// Loss series (rounds without a loss measurement are skipped).
-    pub fn losses(&self) -> Vec<(usize, f64)> {
-        self.rounds
-            .iter()
-            .filter_map(|r| r.loss.map(|l| (r.round, l)))
-            .collect()
-    }
-
-    /// Accuracy series (rounds without an accuracy measurement are skipped).
-    pub fn accuracies(&self) -> Vec<(usize, f64)> {
-        self.rounds
-            .iter()
-            .filter_map(|r| r.accuracy.map(|a| (r.round, a)))
-            .collect()
-    }
-
-    /// True-gradient-norm series.
-    pub fn gradient_norms(&self) -> Vec<(usize, f64)> {
-        self.rounds
-            .iter()
-            .filter_map(|r| r.true_gradient_norm.map(|g| (r.round, g)))
-            .collect()
-    }
-
-    /// First round at which the loss dropped to `threshold` or below, if ever.
-    pub fn rounds_to_loss(&self, threshold: f64) -> Option<usize> {
-        self.rounds
-            .iter()
-            .find(|r| r.loss.is_some_and(|l| l <= threshold))
-            .map(|r| r.round)
-    }
-
-    /// First round at which the accuracy reached `threshold` or above, if ever.
-    pub fn rounds_to_accuracy(&self, threshold: f64) -> Option<usize> {
-        self.rounds
-            .iter()
-            .find(|r| r.accuracy.is_some_and(|a| a >= threshold))
-            .map(|r| r.round)
+    /// Where two runs' trajectories part: a length mismatch, or the first
+    /// round and trajectory column (see [`Column`](crate::Column)) whose
+    /// cells differ. `None` means every trajectory cell of every round
+    /// matches.
+    ///
+    /// Cells compare as their CSV text. For a float that is its bits, sign
+    /// of zero included, since `Display` prints the shortest decimal that
+    /// parses back to the same value; only NaN payloads are not told apart.
+    pub fn trajectory_mismatch(&self, other: &Self) -> Option<String> {
+        if self.rounds.len() != other.rounds.len() {
+            return Some(format!(
+                "{} rounds vs {}",
+                self.rounds.len(),
+                other.rounds.len()
+            ));
+        }
+        let (mut a, mut b) = (String::new(), String::new());
+        for (x, y) in self.rounds.iter().zip(&other.rounds) {
+            for column in RoundRecord::COLUMNS.iter().filter(|c| c.trajectory) {
+                a.clear();
+                b.clear();
+                (column.write)(x, &mut a);
+                (column.write)(y, &mut b);
+                if a != b {
+                    return Some(format!(
+                        "round {}: {} is {a:?} vs {b:?}",
+                        x.round, column.name
+                    ));
+                }
+            }
+        }
+        None
     }
 
     /// Selection statistics accumulated over the whole run.
@@ -136,16 +130,25 @@ impl TrainingHistory {
         stats
     }
 
-    fn mean_nanos(&self, pick: impl Fn(&RoundRecord) -> u128) -> f64 {
-        if self.rounds.is_empty() {
-            return 0.0;
+    /// Mean of `pick` over the rounds where it is `Some`; 0 when it never is.
+    fn mean_where_recorded(&self, pick: impl Fn(&RoundRecord) -> Option<f64>) -> f64 {
+        let mut count = 0usize;
+        let sum: f64 = self
+            .rounds
+            .iter()
+            .filter_map(pick)
+            .inspect(|_| count += 1)
+            .sum();
+        if count == 0 {
+            0.0
+        } else {
+            sum / count as f64
         }
-        self.rounds.iter().map(|r| pick(r) as f64).sum::<f64>() / self.rounds.len() as f64
     }
 
     /// Mean aggregation time per round in nanoseconds (0 when empty).
     pub fn mean_aggregation_nanos(&self) -> f64 {
-        self.mean_nanos(|r| r.aggregation_nanos)
+        self.mean_where_recorded(|r| Some(r.aggregation_nanos as f64))
     }
 
     /// 99th-percentile aggregation time per round in nanoseconds
@@ -162,43 +165,35 @@ impl TrainingHistory {
     /// Mean propose-phase (worker gradient) time per round in nanoseconds
     /// (0 when empty).
     pub fn mean_propose_nanos(&self) -> f64 {
-        self.mean_nanos(|r| r.propose_nanos)
+        self.mean_where_recorded(|r| Some(r.propose_nanos as f64))
     }
 
     /// Mean attack-phase time per round in nanoseconds (0 when empty).
     pub fn mean_attack_nanos(&self) -> f64 {
-        self.mean_nanos(|r| r.attack_nanos)
+        self.mean_where_recorded(|r| Some(r.attack_nanos as f64))
     }
 
     /// Mean simulated-network charge per round in nanoseconds (0 when empty
     /// or when no network model is attached).
     pub fn mean_network_nanos(&self) -> f64 {
-        self.mean_nanos(|r| r.network_nanos)
+        self.mean_where_recorded(|r| Some(r.network_nanos as f64))
     }
 
     /// Mean full-round time in nanoseconds (0 when empty).
     pub fn mean_round_nanos(&self) -> f64 {
-        self.mean_nanos(|r| r.round_nanos)
-    }
-
-    fn mean_over_quorum_rounds(&self, pick: impl Fn(&RoundRecord) -> Option<usize>) -> f64 {
-        let values: Vec<usize> = self.rounds.iter().filter_map(&pick).collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64
+        self.mean_where_recorded(|r| Some(r.round_nanos as f64))
     }
 
     /// Mean quorum size over the rounds that recorded one (async-quorum
     /// execution); 0 when the run never recorded a quorum.
     pub fn mean_quorum_size(&self) -> f64 {
-        self.mean_over_quorum_rounds(|r| r.quorum_size)
+        self.mean_where_recorded(|r| r.quorum_size.map(|v| v as f64))
     }
 
     /// Mean number of stale carry-over proposals aggregated per
     /// quorum-recording round; 0 when the run never recorded a quorum.
     pub fn mean_stale_in_quorum(&self) -> f64 {
-        self.mean_over_quorum_rounds(|r| r.stale_in_quorum)
+        self.mean_where_recorded(|r| r.stale_in_quorum.map(|v| v as f64))
     }
 
     /// Total in-flight proposals dropped for exceeding the staleness bound
@@ -210,16 +205,7 @@ impl TrainingHistory {
     /// Mean wire traffic per round in bytes, over the rounds that ran on a
     /// real transport (`krum-server`); 0 when the run was in-process.
     pub fn mean_wire_bytes(&self) -> f64 {
-        let values: Vec<u64> = self.rounds.iter().filter_map(|r| r.wire_bytes).collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64
-    }
-
-    /// Total wire traffic of the run in bytes (0 when in-process).
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.rounds.iter().filter_map(|r| r.wire_bytes).sum()
+        self.mean_where_recorded(|r| r.wire_bytes.map(|v| v as f64))
     }
 
     /// Mean uncompressed-equivalent traffic per round in bytes, over the
@@ -227,11 +213,7 @@ impl TrainingHistory {
     /// Equal to [`TrainingHistory::mean_wire_bytes`] when no codec was
     /// negotiated.
     pub fn mean_raw_bytes(&self) -> f64 {
-        let values: Vec<u64> = self.rounds.iter().filter_map(|r| r.raw_bytes).collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64
+        self.mean_where_recorded(|r| r.raw_bytes.map(|v| v as f64))
     }
 
     /// Total uncompressed-equivalent traffic of the run in bytes (0 when
@@ -244,11 +226,7 @@ impl TrainingHistory {
     /// nanoseconds, over the rounds that ran on a real transport; 0 when
     /// the run was in-process.
     pub fn mean_arrival_nanos(&self) -> f64 {
-        let values: Vec<u128> = self.rounds.iter().filter_map(|r| r.arrival_nanos).collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64
+        self.mean_where_recorded(|r| r.arrival_nanos.map(|v| v as f64))
     }
 
     /// Total worker reconnections absorbed over the run (0 when in-process
@@ -269,33 +247,10 @@ impl TrainingHistory {
         self.rounds.iter().filter_map(|r| r.checkpoint_bytes).sum()
     }
 
-    /// Mean checkpoint bytes per checkpoint-recording round (0 when the
-    /// run never checkpointed).
-    pub fn mean_checkpoint_bytes(&self) -> f64 {
-        let values: Vec<u64> = self
-            .rounds
-            .iter()
-            .filter_map(|r| r.checkpoint_bytes)
-            .filter(|&b| b > 0)
-            .collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64
-    }
-
     /// Mean distance between the accepted aggregate and the honest mean,
     /// over the rounds that tracked drift (0 when untracked).
     pub fn mean_dist_to_honest_mean(&self) -> f64 {
-        let values: Vec<f64> = self
-            .rounds
-            .iter()
-            .filter_map(|r| r.dist_to_honest_mean)
-            .collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().sum::<f64>() / values.len() as f64
+        self.mean_where_recorded(|r| r.dist_to_honest_mean)
     }
 
     /// The attacker's cumulative displacement of the trajectory at the end
@@ -306,20 +261,6 @@ impl TrainingHistory {
             .iter()
             .rev()
             .find_map(|r| r.attacker_displacement)
-    }
-
-    /// Mean reputation spread over the rounds that recorded one (the
-    /// reputation-weighted defense; 0 for stateless rules).
-    pub fn mean_reputation_spread(&self) -> f64 {
-        let values: Vec<f64> = self
-            .rounds
-            .iter()
-            .filter_map(|r| r.reputation_spread)
-            .collect();
-        if values.is_empty() {
-            return 0.0;
-        }
-        values.iter().sum::<f64>() / values.len() as f64
     }
 
     /// Builds a [`ConvergenceSummary`] over the recorded rounds.
@@ -380,26 +321,52 @@ mod tests {
     }
 
     #[test]
-    fn metadata_and_series() {
+    fn metadata_and_last_round() {
         let h = history();
         assert_eq!(h.len(), 4);
         assert!(!h.is_empty());
         assert_eq!(h.aggregator, "krum");
         assert_eq!(h.workers, 10);
         assert_eq!(h.byzantine, 3);
-        assert_eq!(h.losses().len(), 4);
-        assert_eq!(h.accuracies()[3], (3, 0.9));
-        assert_eq!(h.gradient_norms()[0], (0, 2.0));
         assert_eq!(h.last().unwrap().round, 3);
     }
 
+    /// Only the trajectory columns count, compared as CSV text: measured
+    /// columns may differ, the sign of a zero may not, and a missing round
+    /// is a mismatch of its own.
     #[test]
-    fn convergence_thresholds() {
-        let h = history();
-        assert_eq!(h.rounds_to_loss(0.6), Some(1));
-        assert_eq!(h.rounds_to_loss(0.05), None);
-        assert_eq!(h.rounds_to_accuracy(0.7), Some(2));
-        assert_eq!(h.rounds_to_accuracy(0.99), None);
+    fn trajectory_mismatch_names_the_first_differing_cell() {
+        let a = history();
+        assert_eq!(a.trajectory_mismatch(&a.clone()), None);
+
+        let mut measured = a.clone();
+        measured.rounds[1].round_nanos = 99;
+        measured.rounds[1].wire_bytes = Some(4_096);
+        measured.rounds[1].quorum_size = Some(9);
+        assert_eq!(a.trajectory_mismatch(&measured), None);
+
+        let mut drifted = a.clone();
+        drifted.rounds[2].attacker_displacement = Some(0.5);
+        drifted.rounds[3].loss = None;
+        assert_eq!(
+            a.trajectory_mismatch(&drifted).as_deref(),
+            Some("round 2: attacker_displacement is \"\" vs \"0.5\"")
+        );
+
+        let (mut plus, mut minus) = (a.clone(), a.clone());
+        plus.rounds[0].alignment = Some(0.0);
+        minus.rounds[0].alignment = Some(-0.0);
+        assert_eq!(
+            plus.trajectory_mismatch(&minus).as_deref(),
+            Some("round 0: alignment is \"0\" vs \"-0\"")
+        );
+
+        let mut short = a.clone();
+        short.rounds.pop();
+        assert_eq!(
+            a.trajectory_mismatch(&short).as_deref(),
+            Some("4 rounds vs 3")
+        );
     }
 
     #[test]
@@ -510,13 +477,11 @@ mod tests {
         }
         h.push(RoundRecord::new(2, 1.0, 0.1)); // in-process round
         assert!((h.mean_wire_bytes() - 2_000.0).abs() < 1e-12);
-        assert_eq!(h.total_wire_bytes(), 4_000);
         assert!((h.mean_raw_bytes() - 8_000.0).abs() < 1e-12);
         assert_eq!(h.total_raw_bytes(), 16_000);
         assert!((h.mean_arrival_nanos() - 1_000.0).abs() < 1e-12);
         let empty = TrainingHistory::new("e", "krum", "none", 4, 0);
         assert_eq!(empty.mean_wire_bytes(), 0.0);
-        assert_eq!(empty.total_wire_bytes(), 0);
         assert_eq!(empty.mean_raw_bytes(), 0.0);
         assert_eq!(empty.total_raw_bytes(), 0);
         assert_eq!(empty.mean_arrival_nanos(), 0.0);
@@ -530,18 +495,15 @@ mod tests {
         let mut h = TrainingHistory::new("d", "krum", "inlier-drift", 9, 2);
         assert_eq!(h.mean_dist_to_honest_mean(), 0.0);
         assert_eq!(h.final_attacker_displacement(), None);
-        assert_eq!(h.mean_reputation_spread(), 0.0);
-        for (i, (dist, disp, spread)) in [(1.0, 0.5, 0.1), (3.0, 1.25, 0.3)].iter().enumerate() {
+        for (i, (dist, disp)) in [(1.0, 0.5), (3.0, 1.25)].iter().enumerate() {
             let mut r = RoundRecord::new(i, 1.0, 0.1);
             r.dist_to_honest_mean = Some(*dist);
             r.attacker_displacement = Some(*disp);
-            r.reputation_spread = Some(*spread);
             h.push(r);
         }
         h.push(RoundRecord::new(2, 1.0, 0.1)); // untracked round
         assert!((h.mean_dist_to_honest_mean() - 2.0).abs() < 1e-12);
         assert_eq!(h.final_attacker_displacement(), Some(1.25));
-        assert!((h.mean_reputation_spread() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -562,27 +524,24 @@ mod tests {
         assert_eq!(h, back);
     }
 
-    /// Satellite: churn totals sum only the rounds that recorded the
-    /// transport-side counters, and the checkpoint mean skips
-    /// checkpoint-free rounds.
+    /// Churn totals sum only the rounds that recorded the transport-side
+    /// counters.
     #[test]
-    fn churn_totals_and_checkpoint_mean() {
+    fn churn_totals_sum_the_recorded_rounds() {
         let mut h = TrainingHistory::new("churn", "krum", "none", 9, 2);
         assert_eq!(h.total_reconnects(), 0);
         assert_eq!(h.total_degraded_rounds(), 0);
         assert_eq!(h.total_checkpoint_bytes(), 0);
-        assert_eq!(h.mean_checkpoint_bytes(), 0.0);
         for i in 0..4 {
             let mut r = RoundRecord::new(i, 1.0, 0.1);
             r.reconnects = Some(u64::from(i == 2));
             r.degraded_rounds = Some(u64::from(i == 2));
-            r.checkpoint_bytes = Some(if i % 2 == 1 { 1_000 } else { 0 });
+            r.checkpoint_bytes = (i % 2 == 1).then_some(1_000);
             h.push(r);
         }
         h.push(RoundRecord::new(4, 1.0, 0.1)); // in-process round: all None
         assert_eq!(h.total_reconnects(), 1);
         assert_eq!(h.total_degraded_rounds(), 1);
         assert_eq!(h.total_checkpoint_bytes(), 2_000);
-        assert_eq!(h.mean_checkpoint_bytes(), 1_000.0);
     }
 }

@@ -7,6 +7,12 @@
 //! [`TrainingHistory`], summarised by [`SelectionStats`] (how often the
 //! aggregation rule picked a Byzantine proposal) and exported as CSV or JSON
 //! for the tables in the write-up.
+//!
+//! [`RoundRecord::COLUMNS`] is the one statement of the per-round schema:
+//! each column's name, whether it belongs to the bit-identity contract, and
+//! the writer of its CSV cell. [`to_csv`] renders the table from it, and
+//! [`TrainingHistory::trajectory_mismatch`] compares two runs on its 13
+//! trajectory columns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,9 +22,9 @@ mod history;
 mod round;
 mod selection;
 
-pub use export::{to_csv, to_json, write_csv, write_json, ExportError};
+pub use export::{to_csv, to_json, ExportError};
 pub use history::{ConvergenceSummary, TrainingHistory};
-pub use round::RoundRecord;
+pub use round::{Column, RoundRecord};
 pub use selection::SelectionStats;
 
 /// Convenience prelude for the metrics crate.

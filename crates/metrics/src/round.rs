@@ -1,4 +1,6 @@
-//! Per-round measurement record.
+//! Per-round measurement record and its column table.
+
+use std::fmt::{Display, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -6,8 +8,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// Fields that cannot always be computed (test accuracy, the angle to the true
 /// gradient, which worker was selected) are optional; experiments fill in what
-/// their configuration makes observable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// their configuration makes observable. [`RoundRecord::COLUMNS`] lists the
+/// fields once more, in the same order, as the CSV columns.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundRecord {
     /// Round index `t`, starting at 0.
     pub round: usize,
@@ -80,8 +83,8 @@ pub struct RoundRecord {
     /// by the quorum path instead of a full barrier — else 0; `None` for
     /// in-process execution.
     pub degraded_rounds: Option<u64>,
-    /// Bytes of checkpoint state persisted at the end of this round (0 on
-    /// rounds without a checkpoint); `None` when checkpointing is off or
+    /// Bytes of checkpoint state persisted at the end of this round; `None`
+    /// on rounds without a checkpoint, when checkpointing is off, or when
     /// the round ran in-process.
     pub checkpoint_bytes: Option<u64>,
     /// Distance between the accepted aggregate and the mean of this round's
@@ -101,98 +104,107 @@ pub struct RoundRecord {
 }
 
 impl RoundRecord {
+    /// The per-round schema: one entry per field, in field order. The CSV
+    /// header is the column names and a row is the cells written in this
+    /// order; the names are also the record's JSON keys. The *trajectory*
+    /// columns form the bit-identity contract (see [`Column`]).
+    pub const COLUMNS: &'static [Column] = &[
+        Column::trajectory("round", |r, out| cell(out, r.round)),
+        Column::trajectory("loss", |r, out| opt(out, r.loss)),
+        Column::trajectory("accuracy", |r, out| opt(out, r.accuracy)),
+        Column::trajectory("true_gradient_norm", |r, out| {
+            opt(out, r.true_gradient_norm)
+        }),
+        Column::trajectory("aggregate_norm", |r, out| cell(out, r.aggregate_norm)),
+        Column::trajectory("alignment", |r, out| opt(out, r.alignment)),
+        Column::trajectory("distance_to_optimum", |r, out| {
+            opt(out, r.distance_to_optimum)
+        }),
+        Column::trajectory("selected_worker", |r, out| opt(out, r.selected_worker)),
+        Column::trajectory("selected_byzantine", |r, out| {
+            opt(out, r.selected_byzantine)
+        }),
+        Column::trajectory("learning_rate", |r, out| cell(out, r.learning_rate)),
+        Column::measured("propose_nanos", |r, out| cell(out, r.propose_nanos)),
+        Column::measured("attack_nanos", |r, out| cell(out, r.attack_nanos)),
+        Column::measured("aggregation_nanos", |r, out| cell(out, r.aggregation_nanos)),
+        Column::measured("network_nanos", |r, out| cell(out, r.network_nanos)),
+        Column::measured("round_nanos", |r, out| cell(out, r.round_nanos)),
+        Column::measured("quorum_size", |r, out| opt(out, r.quorum_size)),
+        Column::measured("stale_in_quorum", |r, out| opt(out, r.stale_in_quorum)),
+        Column::measured("max_staleness_in_quorum", |r, out| {
+            opt(out, r.max_staleness_in_quorum)
+        }),
+        Column::measured("dropped_stale", |r, out| opt(out, r.dropped_stale)),
+        Column::measured("pending_carryover", |r, out| opt(out, r.pending_carryover)),
+        Column::measured("wire_bytes", |r, out| opt(out, r.wire_bytes)),
+        Column::measured("raw_bytes", |r, out| opt(out, r.raw_bytes)),
+        Column::measured("arrival_nanos", |r, out| opt(out, r.arrival_nanos)),
+        Column::measured("reconnects", |r, out| opt(out, r.reconnects)),
+        Column::measured("degraded_rounds", |r, out| opt(out, r.degraded_rounds)),
+        Column::measured("checkpoint_bytes", |r, out| opt(out, r.checkpoint_bytes)),
+        Column::trajectory("dist_to_honest_mean", |r, out| {
+            opt(out, r.dist_to_honest_mean)
+        }),
+        Column::trajectory("attacker_displacement", |r, out| {
+            opt(out, r.attacker_displacement)
+        }),
+        Column::trajectory("reputation_spread", |r, out| opt(out, r.reputation_spread)),
+    ];
+
     /// Creates a record with only the mandatory fields; the optional
     /// measurements start as `None`/zero and are filled in by the trainer.
     pub fn new(round: usize, aggregate_norm: f64, learning_rate: f64) -> Self {
         Self {
             round,
-            loss: None,
-            accuracy: None,
-            true_gradient_norm: None,
             aggregate_norm,
-            alignment: None,
-            distance_to_optimum: None,
-            selected_worker: None,
-            selected_byzantine: None,
             learning_rate,
-            propose_nanos: 0,
-            attack_nanos: 0,
-            aggregation_nanos: 0,
-            network_nanos: 0,
-            round_nanos: 0,
-            quorum_size: None,
-            stale_in_quorum: None,
-            max_staleness_in_quorum: None,
-            dropped_stale: None,
-            pending_carryover: None,
-            wire_bytes: None,
-            raw_bytes: None,
-            arrival_nanos: None,
-            reconnects: None,
-            degraded_rounds: None,
-            checkpoint_bytes: None,
-            dist_to_honest_mean: None,
-            attacker_displacement: None,
-            reputation_spread: None,
+            ..Self::default()
+        }
+    }
+}
+
+/// One column of the per-round table ([`RoundRecord::COLUMNS`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// The field's name: its CSV header cell and its JSON key.
+    pub name: &'static str,
+    /// Whether the column belongs to the bit-identity contract: a
+    /// deterministic function of (spec, seed) that every engine, execution
+    /// strategy, transport, codec and resume reproduces bit for bit. The
+    /// other columns are measured (timings, wire bytes, churn counters) or
+    /// record how a strategy closed its quorum.
+    pub trajectory: bool,
+    /// Appends the cell's `Display` form to a row (nothing for `None`).
+    pub(crate) write: fn(&RoundRecord, &mut String),
+}
+
+impl Column {
+    const fn trajectory(name: &'static str, write: fn(&RoundRecord, &mut String)) -> Self {
+        Self {
+            name,
+            trajectory: true,
+            write,
         }
     }
 
-    /// CSV header matching [`RoundRecord::to_csv_row`]. The timing columns
-    /// follow the round pipeline: propose → attack → aggregate → network;
-    /// the quorum/staleness columns are filled under async-quorum execution
-    /// and empty for barrier rounds; the trailing wire columns are filled
-    /// when the round ran over a real transport (`krum-server`); the
-    /// churn columns (`reconnects`, `degraded_rounds`, `checkpoint_bytes`)
-    /// are transport-only; the drift columns (`dist_to_honest_mean`,
-    /// `attacker_displacement`, `reputation_spread`) close the row and are
-    /// filled by engines that track adaptive-adversary drift.
-    pub fn csv_header() -> &'static str {
-        "round,loss,accuracy,true_gradient_norm,aggregate_norm,alignment,\
-         distance_to_optimum,selected_worker,selected_byzantine,learning_rate,\
-         propose_nanos,attack_nanos,aggregation_nanos,network_nanos,round_nanos,\
-         quorum_size,stale_in_quorum,max_staleness_in_quorum,dropped_stale,\
-         pending_carryover,wire_bytes,raw_bytes,arrival_nanos,reconnects,\
-         degraded_rounds,checkpoint_bytes,dist_to_honest_mean,\
-         attacker_displacement,reputation_spread"
-    }
-
-    /// Serialises the record as one CSV row (empty cells for `None`).
-    pub fn to_csv_row(&self) -> String {
-        fn opt<T: std::fmt::Display>(v: &Option<T>) -> String {
-            v.as_ref().map(ToString::to_string).unwrap_or_default()
+    const fn measured(name: &'static str, write: fn(&RoundRecord, &mut String)) -> Self {
+        Self {
+            name,
+            trajectory: false,
+            write,
         }
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.round,
-            opt(&self.loss),
-            opt(&self.accuracy),
-            opt(&self.true_gradient_norm),
-            self.aggregate_norm,
-            opt(&self.alignment),
-            opt(&self.distance_to_optimum),
-            opt(&self.selected_worker),
-            opt(&self.selected_byzantine),
-            self.learning_rate,
-            self.propose_nanos,
-            self.attack_nanos,
-            self.aggregation_nanos,
-            self.network_nanos,
-            self.round_nanos,
-            opt(&self.quorum_size),
-            opt(&self.stale_in_quorum),
-            opt(&self.max_staleness_in_quorum),
-            opt(&self.dropped_stale),
-            opt(&self.pending_carryover),
-            opt(&self.wire_bytes),
-            opt(&self.raw_bytes),
-            opt(&self.arrival_nanos),
-            opt(&self.reconnects),
-            opt(&self.degraded_rounds),
-            opt(&self.checkpoint_bytes),
-            opt(&self.dist_to_honest_mean),
-            opt(&self.attacker_displacement),
-            opt(&self.reputation_spread),
-        )
+    }
+}
+
+fn cell(out: &mut String, value: impl Display) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{value}");
+}
+
+fn opt(out: &mut String, value: Option<impl Display>) {
+    if let Some(value) = value {
+        cell(out, value);
     }
 }
 
@@ -214,122 +226,20 @@ mod tests {
         assert_eq!(r.network_nanos, 0);
     }
 
+    /// The table and the struct cannot drift apart: the column names are
+    /// the serialized record's JSON keys, in order, so a new field left out
+    /// of the table (or a column without a field) fails here.
     #[test]
-    fn phase_columns_appear_in_pipeline_order() {
-        let header = RoundRecord::csv_header();
-        let propose = header.find("propose_nanos").unwrap();
-        let attack = header.find("attack_nanos").unwrap();
-        let aggregation = header.find("aggregation_nanos").unwrap();
-        let network = header.find("network_nanos").unwrap();
-        let round = header.find("round_nanos").unwrap();
-        assert!(propose < attack && attack < aggregation);
-        assert!(aggregation < network && network < round);
-        let mut r = RoundRecord::new(0, 1.0, 0.1);
-        r.propose_nanos = 11;
-        r.attack_nanos = 22;
-        r.aggregation_nanos = 33;
-        r.network_nanos = 44;
-        r.round_nanos = 110;
-        // The trailing quorum/staleness, wire and drift cells are empty for
-        // in-process barrier rounds.
-        assert!(r.to_csv_row().ends_with("11,22,33,44,110,,,,,,,,,,,,,,"));
-    }
-
-    #[test]
-    fn quorum_columns_trail_the_header_and_serialise() {
-        let header = RoundRecord::csv_header();
-        let round_nanos = header.find("round_nanos").unwrap();
-        for column in [
-            "quorum_size",
-            "stale_in_quorum",
-            "max_staleness_in_quorum",
-            "dropped_stale",
-            "pending_carryover",
-        ] {
-            let at = header
-                .find(column)
-                .unwrap_or_else(|| panic!("column {column} missing from the CSV header"));
-            assert!(at > round_nanos, "{column} must trail the timing columns");
-        }
-        let mut r = RoundRecord::new(3, 1.0, 0.1);
-        r.quorum_size = Some(8);
-        r.stale_in_quorum = Some(2);
-        r.max_staleness_in_quorum = Some(1);
-        r.dropped_stale = Some(0);
-        r.pending_carryover = Some(3);
-        assert!(r.to_csv_row().ends_with("8,2,1,0,3,,,,,,,,,"));
-    }
-
-    /// Satellite: the wire columns trail everything (they only apply to
-    /// networked rounds) and serialise as plain integers.
-    #[test]
-    fn wire_columns_trail_the_header_and_serialise() {
-        let header = RoundRecord::csv_header();
-        let carryover = header.find("pending_carryover").unwrap();
-        let wire = header.find("wire_bytes").unwrap();
-        let raw = header.find("raw_bytes").unwrap();
-        let arrival = header.find("arrival_nanos").unwrap();
-        assert!(carryover < wire && wire < raw && raw < arrival);
-        let mut r = RoundRecord::new(2, 1.0, 0.1);
-        r.wire_bytes = Some(81_920);
-        r.raw_bytes = Some(327_680);
-        r.arrival_nanos = Some(1_500_000);
-        assert!(r.to_csv_row().ends_with(",81920,327680,1500000,,,,,,"));
-    }
-
-    /// Satellite: the churn columns follow the wire columns, in
-    /// reconnects → degraded → checkpoint order, and serialise as plain
-    /// integers on networked rounds.
-    #[test]
-    fn churn_columns_trail_the_header_and_serialise() {
-        let header = RoundRecord::csv_header();
-        let arrival = header.find("arrival_nanos").unwrap();
-        let reconnects = header.find("reconnects").unwrap();
-        let degraded = header.find("degraded_rounds").unwrap();
-        let checkpoint = header.find("checkpoint_bytes").unwrap();
-        assert!(arrival < reconnects && reconnects < degraded && degraded < checkpoint);
-        let mut r = RoundRecord::new(4, 1.0, 0.1);
-        r.reconnects = Some(1);
-        r.degraded_rounds = Some(1);
-        r.checkpoint_bytes = Some(4_096);
-        assert!(r.to_csv_row().ends_with(",1,1,4096,,,"));
-    }
-
-    /// The drift columns close the row, in distance → displacement → spread
-    /// order, and serialise as plain floats when an engine tracks them.
-    #[test]
-    fn drift_columns_close_the_header_and_serialise() {
-        let header = RoundRecord::csv_header();
-        let checkpoint = header.find("checkpoint_bytes").unwrap();
-        let dist = header.find("dist_to_honest_mean").unwrap();
-        let displacement = header.find("attacker_displacement").unwrap();
-        let spread = header.find("reputation_spread").unwrap();
-        assert!(checkpoint < dist && dist < displacement && displacement < spread);
-        assert!(header.ends_with("reputation_spread"));
-        let mut r = RoundRecord::new(5, 1.0, 0.1);
-        r.dist_to_honest_mean = Some(0.5);
-        r.attacker_displacement = Some(12.25);
-        r.reputation_spread = Some(0.75);
-        assert!(r.to_csv_row().ends_with(",0.5,12.25,0.75"));
-    }
-
-    #[test]
-    fn csv_row_has_as_many_cells_as_header() {
-        let mut r = RoundRecord::new(0, 2.0, 0.1);
-        r.loss = Some(0.7);
-        r.selected_worker = Some(4);
-        r.selected_byzantine = Some(false);
-        let header_cells = RoundRecord::csv_header().split(',').count();
-        let row_cells = r.to_csv_row().split(',').count();
-        assert_eq!(header_cells, row_cells);
-        assert!(r.to_csv_row().contains("0.7"));
-    }
-
-    #[test]
-    fn none_fields_serialise_as_empty_cells() {
-        let r = RoundRecord::new(1, 0.0, 0.1);
-        let row = r.to_csv_row();
-        assert!(row.starts_with("1,,,,"), "row was {row}");
+    fn column_names_are_the_json_keys_in_order() {
+        let json = serde_json::to_string(&RoundRecord::new(0, 1.0, 0.1)).unwrap();
+        let keys: Vec<&str> = json
+            .trim_start_matches('{')
+            .trim_end_matches('}')
+            .split(',')
+            .map(|pair| pair.split(':').next().unwrap().trim_matches('"'))
+            .collect();
+        let names: Vec<&str> = RoundRecord::COLUMNS.iter().map(|c| c.name).collect();
+        assert_eq!(names, keys);
     }
 
     #[test]

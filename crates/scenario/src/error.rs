@@ -3,7 +3,6 @@
 use krum_attacks::AttackError;
 use krum_core::AggregationError;
 use krum_dist::TrainError;
-use krum_metrics::ExportError;
 use krum_models::ModelError;
 use thiserror::Error;
 
@@ -28,9 +27,6 @@ pub enum ScenarioError {
     /// A scenario file or report failed to (de)serialise.
     #[error("serialisation: {0}")]
     Json(#[from] serde_json::Error),
-    /// A report export failed.
-    #[error("export: {0}")]
-    Export(#[from] ExportError),
     /// Reading or writing a scenario/report file failed.
     #[error("io: {0}")]
     Io(#[from] std::io::Error),

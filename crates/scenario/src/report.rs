@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use krum_metrics::{ConvergenceSummary, RoundRecord, TrainingHistory};
+use krum_metrics::{ConvergenceSummary, TrainingHistory};
 use krum_tensor::Vector;
 use serde::{Deserialize, Serialize};
 
@@ -119,15 +119,10 @@ impl ScenarioReport {
     }
 
     /// Renders the report as CSV: the `#`-prefixed metadata header followed
-    /// by the standard round-record table.
+    /// by the round-record table of [`krum_metrics::to_csv`].
     pub fn to_csv(&self) -> String {
         let mut out = self.header();
-        out.push_str(RoundRecord::csv_header());
-        out.push('\n');
-        for record in &self.history.rounds {
-            out.push_str(&record.to_csv_row());
-            out.push('\n');
-        }
+        out.push_str(&krum_metrics::to_csv(&self.history));
         out
     }
 
@@ -212,7 +207,7 @@ mod tests {
             .position(|l| l.starts_with("round,loss"))
             .expect("csv header present");
         assert_eq!(lines.len() - header_idx - 1, 6, "one row per round");
-        let cells = RoundRecord::csv_header().split(',').count();
+        let cells = krum_metrics::RoundRecord::COLUMNS.len();
         for row in &lines[header_idx + 1..] {
             assert_eq!(row.split(',').count(), cells, "well-formed row: {row}");
         }
@@ -243,7 +238,7 @@ mod tests {
         // The full CSV stays machine-parseable: comment lines then
         // constant-arity rows.
         let csv = r.to_csv();
-        let cells = RoundRecord::csv_header().split(',').count();
+        let cells = krum_metrics::RoundRecord::COLUMNS.len();
         for line in csv.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split(',').count(), cells, "row: {line}");
         }

@@ -217,11 +217,7 @@ mod tests {
         let (legacy_params, legacy_history) = trainer.run(Vector::filled(6, 1.5)).unwrap();
 
         assert_eq!(report.final_params, legacy_params);
-        assert_eq!(report.history.len(), legacy_history.len());
-        for (a, b) in report.history.rounds.iter().zip(&legacy_history.rounds) {
-            assert_eq!(a.aggregate_norm, b.aggregate_norm);
-            assert_eq!(a.distance_to_optimum, b.distance_to_optimum);
-        }
+        assert_eq!(report.history.trajectory_mismatch(&legacy_history), None);
         assert!(report.wall_nanos > 0);
     }
 
@@ -237,6 +233,10 @@ mod tests {
         };
         let threaded = Scenario::from_spec(threaded_spec).unwrap().run().unwrap();
         assert_eq!(sequential.final_params, threaded.final_params);
+        assert_eq!(
+            sequential.history.trajectory_mismatch(&threaded.history),
+            None
+        );
         assert!(threaded.history.mean_network_nanos() > 0.0);
         assert_eq!(sequential.history.mean_network_nanos(), 0.0);
     }
@@ -322,10 +322,10 @@ mod tests {
         };
         let report = Scenario::from_spec(async_spec).unwrap().run().unwrap();
         assert_eq!(report.final_params, sequential.final_params);
-        for (a, b) in report.history.rounds.iter().zip(&sequential.history.rounds) {
-            assert_eq!(a.aggregate_norm, b.aggregate_norm);
-            assert_eq!(a.selected_worker, b.selected_worker);
-        }
+        assert_eq!(
+            report.history.trajectory_mismatch(&sequential.history),
+            None
+        );
         assert!((report.history.mean_quorum_size() - 9.0).abs() < 1e-12);
     }
 
@@ -381,10 +381,10 @@ mod tests {
         };
         let report = Scenario::from_spec(full).unwrap().run().unwrap();
         assert_eq!(report.final_params, sequential.final_params);
-        for (a, b) in report.history.rounds.iter().zip(&sequential.history.rounds) {
-            assert_eq!(a.aggregate_norm, b.aggregate_norm);
-            assert_eq!(a.selected_worker, b.selected_worker);
-        }
+        assert_eq!(
+            report.history.trajectory_mismatch(&sequential.history),
+            None
+        );
 
         // Refreshing 3 of 9 per round: stale table entries enter the
         // aggregation, bounded by max_staleness.

@@ -162,7 +162,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, ServerError> {
             path.display()
         )));
     };
-    let state: CheckpointState = serde_json::from_str(&state_json)
+    let mut state: CheckpointState = serde_json::from_str(&state_json)
         .map_err(|e| ServerError::Checkpoint(format!("bad state sidecar: {e}")))?;
     state
         .spec
@@ -220,6 +220,12 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, ServerError> {
             path.display(),
             carried.worker
         )));
+    }
+    // A snapshot cannot hold its own size: the job records it on the last
+    // round only after the history is serialised. The file's length is
+    // that size, the value `write_checkpoint` returned.
+    if let Some(last) = state.history.rounds.last_mut() {
+        last.checkpoint_bytes = Some(bytes.len() as u64);
     }
     Ok(ResumeState {
         id: job,
@@ -353,6 +359,36 @@ mod tests {
         assert_eq!(resumed.stateful_rule, Some(stateful));
 
         assert_eq!(list_checkpoints(&dir).unwrap(), vec![(0, config.path(0))]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The snapshot cannot record its own size, so reading it back fills
+    /// the last restored round's `checkpoint_bytes` with exactly the count
+    /// `write_checkpoint` returned; earlier rounds keep what they recorded.
+    #[test]
+    fn resume_restores_the_size_of_the_snapshot_it_read() {
+        let dir = dir("size");
+        let config = CheckpointConfig {
+            dir: dir.clone(),
+            every: 1,
+        };
+        let spec = spec();
+        let mut history = krum_metrics::TrainingHistory::new("t", "krum", "none", 9, 2);
+        for r in 0..3 {
+            history.push(krum_metrics::RoundRecord::new(r, 1.0, 0.1));
+        }
+        history.rounds[1].checkpoint_bytes = Some(1_234);
+        let params = Vector::zeros(spec.dim().unwrap());
+        let bytes =
+            write_checkpoint(&config, 0, 3, &params, &[], &spec, &history, 0, None).unwrap();
+        let checkpoint_bytes: Vec<Option<u64>> = read_checkpoint(&config.path(0))
+            .unwrap()
+            .history
+            .rounds
+            .iter()
+            .map(|r| r.checkpoint_bytes)
+            .collect();
+        assert_eq!(checkpoint_bytes, [None, Some(1_234), Some(bytes)]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,7 +9,7 @@ use krum_attacks::{AttackSpec, DriftTarget};
 use krum_core::RuleSpec;
 use krum_dist::{ClusterSpec, LatencyModel, LearningRateSchedule, NetworkModel};
 use krum_models::EstimatorSpec;
-use krum_scenario::{ExecutionSpec, InitSpec, ProbeSpec, Scenario, ScenarioReport, ScenarioSpec};
+use krum_scenario::{ExecutionSpec, InitSpec, ProbeSpec, Scenario, ScenarioSpec};
 use krum_server::run_loopback;
 
 fn spec(attack: AttackSpec, rule: RuleSpec) -> ScenarioSpec {
@@ -56,42 +56,6 @@ fn rules() -> Vec<RuleSpec> {
     ]
 }
 
-/// Deterministic columns only — timings and wire columns are measured.
-fn assert_trajectories_identical(a: &ScenarioReport, b: &ScenarioReport, cell: &str) {
-    assert_eq!(
-        a.final_params, b.final_params,
-        "{cell}: final parameters must be bit-identical"
-    );
-    assert_eq!(a.history.len(), b.history.len(), "{cell}");
-    for (x, y) in a.history.rounds.iter().zip(&b.history.rounds) {
-        assert_eq!(x.round, y.round, "{cell}");
-        assert_eq!(
-            x.aggregate_norm, y.aggregate_norm,
-            "{cell} round {}",
-            x.round
-        );
-        assert_eq!(x.loss, y.loss, "{cell} round {}", x.round);
-        assert_eq!(
-            x.selected_worker, y.selected_worker,
-            "{cell} round {}",
-            x.round
-        );
-        assert_eq!(x.selected_byzantine, y.selected_byzantine, "{cell}");
-        assert_eq!(x.learning_rate, y.learning_rate, "{cell}");
-        assert_eq!(
-            x.dist_to_honest_mean, y.dist_to_honest_mean,
-            "{cell} round {}",
-            x.round
-        );
-        assert_eq!(
-            x.attacker_displacement, y.attacker_displacement,
-            "{cell} round {}",
-            x.round
-        );
-        assert_eq!(x.reputation_spread, y.reputation_spread, "{cell}");
-    }
-}
-
 /// Every stateful attack × stateful defense cell reruns bit-identically:
 /// attack state, defense state and the drift columns are all deterministic
 /// functions of (spec, seed).
@@ -103,7 +67,8 @@ fn stateful_cells_are_bit_identical_across_repeat_runs() {
             let s = spec(attack, rule);
             let a = Scenario::from_spec(s.clone()).unwrap().run().unwrap();
             let b = Scenario::from_spec(s).unwrap().run().unwrap();
-            assert_trajectories_identical(&a, &b, &cell);
+            assert_eq!(a.final_params, b.final_params, "{cell}");
+            assert_eq!(a.history.trajectory_mismatch(&b.history), None, "{cell}");
             // The drift layer actually ran: at least one round recorded a
             // distance and a displacement.
             assert!(
@@ -148,7 +113,14 @@ fn full_quorum_async_matches_sequential_for_stateful_cells() {
                 },
             };
             let asynchronous = Scenario::from_spec(async_spec).unwrap().run().unwrap();
-            assert_trajectories_identical(&sequential, &asynchronous, &cell);
+            assert_eq!(sequential.final_params, asynchronous.final_params, "{cell}");
+            assert_eq!(
+                sequential
+                    .history
+                    .trajectory_mismatch(&asynchronous.history),
+                None,
+                "{cell}"
+            );
         }
     }
 }
@@ -186,7 +158,12 @@ fn loopback_stateful_cells_match_in_process_bit_for_bit() {
         let s = spec(attack, rule);
         let served = run_loopback(s.clone()).unwrap();
         let in_process = Scenario::from_spec(s).unwrap().run().unwrap();
-        assert_trajectories_identical(&served, &in_process, &cell);
+        assert_eq!(served.final_params, in_process.final_params, "{cell}");
+        assert_eq!(
+            served.history.trajectory_mismatch(&in_process.history),
+            None,
+            "{cell}"
+        );
     }
 }
 
@@ -201,7 +178,15 @@ fn loopback_stateful_defense_against_stateless_attack_matches_in_process() {
     );
     let served = run_loopback(s.clone()).unwrap();
     let in_process = Scenario::from_spec(s).unwrap().run().unwrap();
-    assert_trajectories_identical(&served, &in_process, "sign-flip vs reputation-weighted");
+    assert_eq!(
+        served.final_params, in_process.final_params,
+        "sign-flip vs reputation-weighted"
+    );
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None,
+        "sign-flip vs reputation-weighted"
+    );
     assert!(
         served
             .history

@@ -22,7 +22,7 @@ use krum_dist::{ClusterSpec, LearningRateSchedule};
 use krum_models::EstimatorSpec;
 use krum_scenario::{
     CrashPolicy, ExecutionSpec, FaultAction, FaultPlan, FaultSpec, InitSpec, ProbeSpec,
-    ScenarioReport, ScenarioSpec,
+    ScenarioSpec,
 };
 use krum_server::{run_chaos, run_loopback, run_worker, ChaosOptions, Server, ServerError};
 use krum_wire::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
@@ -70,28 +70,6 @@ fn ckpt_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every deterministic column must match bit-for-bit; only measured
-/// timings, wire byte counts and the churn columns may differ.
-fn assert_trajectories_identical(disturbed: &ScenarioReport, control: &ScenarioReport) {
-    assert_eq!(
-        disturbed.final_params, control.final_params,
-        "final parameters must be bit-identical"
-    );
-    assert_eq!(disturbed.history.len(), control.history.len());
-    for (d, c) in disturbed.history.rounds.iter().zip(&control.history.rounds) {
-        assert_eq!(d.round, c.round);
-        assert_eq!(d.aggregate_norm, c.aggregate_norm, "round {}", d.round);
-        assert_eq!(d.loss, c.loss, "round {}", d.round);
-        assert_eq!(d.accuracy, c.accuracy, "round {}", d.round);
-        assert_eq!(d.true_gradient_norm, c.true_gradient_norm);
-        assert_eq!(d.alignment, c.alignment, "round {}", d.round);
-        assert_eq!(d.distance_to_optimum, c.distance_to_optimum);
-        assert_eq!(d.selected_worker, c.selected_worker, "round {}", d.round);
-        assert_eq!(d.selected_byzantine, c.selected_byzantine);
-        assert_eq!(d.learning_rate, c.learning_rate);
-    }
-}
-
 /// Tentpole acceptance 1: a worker whose connection is severed mid-job
 /// rejoins into its old slot and the trajectory is bit-identical to the
 /// undisturbed run — the crash never happened, as far as training is
@@ -116,7 +94,11 @@ fn dropped_worker_rejoins_and_the_run_is_bit_identical() {
     )
     .unwrap();
 
-    assert_trajectories_identical(&outcome.report, &control);
+    assert_eq!(outcome.report.final_params, control.final_params);
+    assert_eq!(
+        outcome.report.history.trajectory_mismatch(&control.history),
+        None
+    );
     assert!(
         outcome.worker_reconnects >= 1,
         "the dropped worker must have rejoined"
@@ -208,7 +190,11 @@ fn server_kill_and_resume_is_bit_identical() {
     .unwrap();
 
     assert!(outcome.server_resumed, "the scripted kill must have fired");
-    assert_trajectories_identical(&outcome.report, &control);
+    assert_eq!(outcome.report.final_params, control.final_params);
+    assert_eq!(
+        outcome.report.history.trajectory_mismatch(&control.history),
+        None
+    );
     assert!(
         outcome.worker_reconnects as usize >= outcome.report.spec.cluster.honest(),
         "every worker had to rejoin the resumed server"
@@ -217,6 +203,37 @@ fn server_kill_and_resume_is_bit_identical() {
         outcome.report.history.total_checkpoint_bytes() > 0,
         "checkpoint costs are accounted in the metrics"
     );
+}
+
+/// A resumed job keeps the size of the snapshot it resumed from: with a
+/// checkpoint after every round, every round of the killed-and-resumed run
+/// records its checkpoint bytes, the round the kill followed included.
+#[test]
+fn killed_and_resumed_run_records_every_checkpoint_size() {
+    let mut disturbed = spec(CrashPolicy::WaitForRejoin);
+    disturbed.fault_plan = Some(FaultPlan {
+        description: "kill -9 after round 2, checkpoint every round".into(),
+        faults: vec![],
+        kill_server_after_round: Some(2),
+    });
+    let outcome = run_chaos(
+        disturbed,
+        ChaosOptions {
+            checkpoint_dir: Some(ckpt_dir("kill-every")),
+            checkpoint_every: 1,
+            ..ChaosOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(outcome.server_resumed, "the scripted kill must have fired");
+    let sizes: Vec<Option<u64>> = outcome
+        .report
+        .history
+        .rounds
+        .iter()
+        .map(|r| r.checkpoint_bytes)
+        .collect();
+    assert!(sizes.iter().all(Option::is_some), "{sizes:?}");
 }
 
 /// Tentpole acceptance 4: every fault action heals under rejoin — no
@@ -247,7 +264,11 @@ fn every_fault_action_heals_under_rejoin_bit_identically() {
             },
         )
         .unwrap_or_else(|e| panic!("{action}: chaos run failed: {e}"));
-        assert_trajectories_identical(&outcome.report, &control);
+        assert_eq!(outcome.report.final_params, control.final_params);
+        assert_eq!(
+            outcome.report.history.trajectory_mismatch(&control.history),
+            None
+        );
         assert_eq!(outcome.worker_failures, 0, "{action}");
         if !matches!(action, FaultAction::Delay { .. }) {
             assert!(

@@ -41,28 +41,6 @@ fn compressed(codec: CompressionSpec) -> ScenarioSpec {
     s
 }
 
-/// Every deterministic column must match bit-for-bit; only the measured
-/// timings and the wire columns may differ between the two worlds.
-fn assert_trajectories_identical(served: &ScenarioReport, in_process: &ScenarioReport) {
-    assert_eq!(
-        served.final_params, in_process.final_params,
-        "final parameters must be bit-identical"
-    );
-    assert_eq!(served.history.len(), in_process.history.len());
-    for (s, p) in served.history.rounds.iter().zip(&in_process.history.rounds) {
-        assert_eq!(s.round, p.round);
-        assert_eq!(s.aggregate_norm, p.aggregate_norm, "round {}", s.round);
-        assert_eq!(s.loss, p.loss, "round {}", s.round);
-        assert_eq!(s.accuracy, p.accuracy, "round {}", s.round);
-        assert_eq!(s.true_gradient_norm, p.true_gradient_norm);
-        assert_eq!(s.alignment, p.alignment, "round {}", s.round);
-        assert_eq!(s.distance_to_optimum, p.distance_to_optimum);
-        assert_eq!(s.selected_worker, p.selected_worker, "round {}", s.round);
-        assert_eq!(s.selected_byzantine, p.selected_byzantine);
-        assert_eq!(s.learning_rate, p.learning_rate);
-    }
-}
-
 /// Acceptance: for every codec the spec grammar can name, a loopback run
 /// with compressed frames is bit-identical to the in-process run of the
 /// same quantized scenario.
@@ -84,7 +62,11 @@ fn every_codec_loopback_matches_in_process_quantized_run_bit_for_bit() {
         let s = compressed(codec);
         let served = run_loopback(s.clone()).unwrap_or_else(|e| panic!("{codec}: {e}"));
         let in_process = Scenario::from_spec(s).unwrap().run().unwrap();
-        assert_trajectories_identical(&served, &in_process);
+        assert_eq!(served.final_params, in_process.final_params);
+        assert_eq!(
+            served.history.trajectory_mismatch(&in_process.history),
+            None
+        );
     }
 }
 
@@ -187,7 +169,11 @@ fn v1_workers_against_v2_server_fall_back_to_uncompressed_frames() {
     });
     let served_v1 = run_loopback_with_version(s.clone(), 1).unwrap();
     let in_process = Scenario::from_spec(s).unwrap().run().unwrap();
-    assert_trajectories_identical(&served_v1, &in_process);
+    assert_eq!(served_v1.final_params, in_process.final_params);
+    assert_eq!(
+        served_v1.history.trajectory_mismatch(&in_process.history),
+        None
+    );
 
     // Uncompressed framing: the v1 run pays the full raw price.
     for record in &served_v1.history.rounds {
@@ -241,7 +227,11 @@ fn compressed_full_quorum_matches_in_process_async_engine() {
     };
     let served = run_loopback(s.clone()).unwrap();
     let in_process = Scenario::from_spec(s).unwrap().run().unwrap();
-    assert_trajectories_identical(&served, &in_process);
+    assert_eq!(served.final_params, in_process.final_params);
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None
+    );
 }
 
 /// Compressed loopback runs are reproducible across servings: real
@@ -254,5 +244,6 @@ fn compressed_loopback_runs_are_reproducible_across_servings() {
     });
     let a = run_loopback(s.clone()).unwrap();
     let b = run_loopback(s).unwrap();
-    assert_trajectories_identical(&a, &b);
+    assert_eq!(a.final_params, b.final_params);
+    assert_eq!(a.history.trajectory_mismatch(&b.history), None);
 }

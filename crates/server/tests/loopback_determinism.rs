@@ -9,7 +9,7 @@ use krum_attacks::AttackSpec;
 use krum_core::RuleSpec;
 use krum_dist::{ClusterSpec, LatencyModel, LearningRateSchedule, NetworkModel};
 use krum_models::{DataSpec, EstimatorSpec, ModelSpec};
-use krum_scenario::{ExecutionSpec, InitSpec, ProbeSpec, Scenario, ScenarioReport, ScenarioSpec};
+use krum_scenario::{ExecutionSpec, InitSpec, ProbeSpec, Scenario, ScenarioSpec};
 use krum_server::{run_loopback, run_loopback_jobs, ServerError};
 
 fn spec() -> ScenarioSpec {
@@ -31,28 +31,6 @@ fn spec() -> ScenarioSpec {
     }
 }
 
-/// Every deterministic column must match bit-for-bit; only the measured
-/// timings and the wire columns may differ between the two worlds.
-fn assert_trajectories_identical(served: &ScenarioReport, in_process: &ScenarioReport) {
-    assert_eq!(
-        served.final_params, in_process.final_params,
-        "final parameters must be bit-identical"
-    );
-    assert_eq!(served.history.len(), in_process.history.len());
-    for (s, p) in served.history.rounds.iter().zip(&in_process.history.rounds) {
-        assert_eq!(s.round, p.round);
-        assert_eq!(s.aggregate_norm, p.aggregate_norm, "round {}", s.round);
-        assert_eq!(s.loss, p.loss, "round {}", s.round);
-        assert_eq!(s.accuracy, p.accuracy, "round {}", s.round);
-        assert_eq!(s.true_gradient_norm, p.true_gradient_norm);
-        assert_eq!(s.alignment, p.alignment, "round {}", s.round);
-        assert_eq!(s.distance_to_optimum, p.distance_to_optimum);
-        assert_eq!(s.selected_worker, p.selected_worker, "round {}", s.round);
-        assert_eq!(s.selected_byzantine, p.selected_byzantine);
-        assert_eq!(s.learning_rate, p.learning_rate);
-    }
-}
-
 /// Acceptance: `krum loopback` with barrier rounds is bit-identical to
 /// `Scenario::run()` per seed, and fills the wire columns the in-process
 /// engine cannot.
@@ -60,7 +38,11 @@ fn assert_trajectories_identical(served: &ScenarioReport, in_process: &ScenarioR
 fn loopback_barrier_matches_in_process_scenario_bit_for_bit() {
     let served = run_loopback(spec()).unwrap();
     let in_process = Scenario::from_spec(spec()).unwrap().run().unwrap();
-    assert_trajectories_identical(&served, &in_process);
+    assert_eq!(served.final_params, in_process.final_params);
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None
+    );
 
     // The served run measured the wire; the in-process run could not.
     for record in &served.history.rounds {
@@ -98,7 +80,11 @@ fn loopback_full_quorum_matches_in_process_async_engine() {
     };
     let served = run_loopback(async_spec.clone()).unwrap();
     let in_process = Scenario::from_spec(async_spec).unwrap().run().unwrap();
-    assert_trajectories_identical(&served, &in_process);
+    assert_eq!(served.final_params, in_process.final_params);
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None
+    );
     for (s, p) in served.history.rounds.iter().zip(&in_process.history.rounds) {
         assert_eq!(s.quorum_size, p.quorum_size);
         assert_eq!(s.stale_in_quorum, p.stale_in_quorum);
@@ -124,10 +110,10 @@ fn remote_barrier_spec_reproduces_the_sequential_trajectory() {
     let served = run_loopback(remote).unwrap();
     let sequential = Scenario::from_spec(spec()).unwrap().run().unwrap();
     assert_eq!(served.final_params, sequential.final_params);
-    for (s, p) in served.history.rounds.iter().zip(&sequential.history.rounds) {
-        assert_eq!(s.aggregate_norm, p.aggregate_norm);
-        assert_eq!(s.selected_worker, p.selected_worker);
-    }
+    assert_eq!(
+        served.history.trajectory_mismatch(&sequential.history),
+        None
+    );
 }
 
 /// A remote partial quorum (`Remote { quorum: Some(q) }`) serves end to
@@ -165,7 +151,8 @@ fn remote_partial_quorum_serves_with_staleness_accounting() {
 fn loopback_runs_are_reproducible_across_servings() {
     let a = run_loopback(spec()).unwrap();
     let b = run_loopback(spec()).unwrap();
-    assert_trajectories_identical(&a, &b);
+    assert_eq!(a.final_params, b.final_params);
+    assert_eq!(a.history.trajectory_mismatch(&b.history), None);
 }
 
 /// A synthetic (dataset-backed) workload with accuracy probes crosses the
@@ -187,7 +174,11 @@ fn synthetic_workload_with_accuracy_probe_matches_in_process() {
     s.init = InitSpec::Zeros;
     let served = run_loopback(s.clone()).unwrap();
     let in_process = Scenario::from_spec(s).unwrap().run().unwrap();
-    assert_trajectories_identical(&served, &in_process);
+    assert_eq!(served.final_params, in_process.final_params);
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None
+    );
     assert!(
         served.summary().final_accuracy.is_some(),
         "the served run must evaluate held-out accuracy"
@@ -257,7 +248,11 @@ fn clean_clusters_serve_without_an_adversary_connection() {
     clean.rounds = 6;
     let served = run_loopback(clean.clone()).unwrap();
     let in_process = Scenario::from_spec(clean).unwrap().run().unwrap();
-    assert_trajectories_identical(&served, &in_process);
+    assert_eq!(served.final_params, in_process.final_params);
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None
+    );
 }
 
 /// Tentpole: a hierarchical rule serves over real sockets unchanged — the
@@ -276,7 +271,11 @@ fn loopback_hierarchical_rule_matches_in_process() {
     hier.rounds = 10;
     let served = run_loopback(hier.clone()).unwrap();
     let in_process = Scenario::from_spec(hier).unwrap().run().unwrap();
-    assert_trajectories_identical(&served, &in_process);
+    assert_eq!(served.final_params, in_process.final_params);
+    assert_eq!(
+        served.history.trajectory_mismatch(&in_process.history),
+        None
+    );
 }
 
 /// Reuse-stale execution needs an engine-side latest-proposal table the
