@@ -1,9 +1,12 @@
-//! Process-level pin for `krum loopback`: the smoke scenario served over
+//! Process-level pins for `krum loopback`: the smoke scenario served over
 //! loopback sockets by the built binary reproduces `krum run`'s CSV — the
 //! same header, equal trajectory columns — and only the served rows fill
-//! the wire columns.
+//! the wire columns; a non-finite attacker served the same way is filtered
+//! or refused, never passed through.
 
 mod common;
+
+use std::process::Command;
 
 use common::{assert_same_trajectory, column, krum_csv, scenario_path, scratch_dir, table};
 
@@ -35,4 +38,37 @@ fn loopback_csv_matches_the_in_process_run_and_fills_the_wire_columns() {
             assert!(value > 0, "served rows must fill {}", header[i]);
         }
     }
+}
+
+/// The NaN-poisoning guarantee across the wire: under a non-finite
+/// attacker the served job either ends with a structured poisoned-round
+/// error (exit 1) or keeps every round's `aggregate_norm` finite (exit 0) —
+/// never a panic, never silent garbage.
+#[test]
+fn a_non_finite_attacker_is_refused_or_filtered_over_the_wire() {
+    let dir = scratch_dir("loopback-nonfinite");
+    let csv = dir.join("nonfinite.csv");
+    let spec = scenario_path("loopback_nonfinite.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_krum"))
+        .args(["loopback", spec.to_str().unwrap(), "--csv"])
+        .arg(&csv)
+        .output()
+        .expect("krum binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    match output.status.code() {
+        Some(0) => {
+            let (header, rows) = table(&std::fs::read_to_string(&csv).unwrap());
+            let norm = column(&header, "aggregate_norm");
+            for row in &rows {
+                let value: f64 = row[norm].parse().unwrap();
+                assert!(value.is_finite(), "round {} is not finite: {value}", row[0]);
+            }
+        }
+        Some(1) => assert!(
+            stderr.contains("poisoned round"),
+            "exit 1 without a poisoned-round error: {stderr}"
+        ),
+        status => panic!("unexpected exit status {status:?} (panic?): {stderr}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -51,7 +51,7 @@ pub use config::{ClusterSpec, LearningRateSchedule, TrainingConfig};
 pub use engine::{stream_rng, ExecutionStrategy, RoundEngine, ATTACK_STREAM};
 pub use error::TrainError;
 pub use network::{LatencyModel, NetworkModel, LATENCY_MODEL_NAMES};
-pub use quorum::{Proposal, Quorum, QuorumStats};
+pub use quorum::{Arrival, Close, CrashPolicy, Proposal, Quorum, QuorumStats};
 pub use round_core::{AccuracyProbe, RoundCore};
 
 /// Convenience prelude for the distributed-training crate.

@@ -244,10 +244,14 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let mut r = RoundRecord::new(9, 0.4, 0.05);
-        r.alignment = Some(0.99);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RoundRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
+        // −0.0 serialises as `-0`; it must come back with its sign.
+        for alignment in [0.99, -0.0] {
+            let mut r = RoundRecord::new(9, 0.4, 0.05);
+            r.alignment = Some(alignment);
+            let json = serde_json::to_string(&r).unwrap();
+            let back: RoundRecord = serde_json::from_str(&json).unwrap();
+            assert_eq!(r, back);
+            assert_eq!(back.alignment.map(f64::to_bits), Some(alignment.to_bits()));
+        }
     }
 }

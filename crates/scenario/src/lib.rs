@@ -55,10 +55,11 @@ mod spec;
 pub use builder::ScenarioBuilder;
 pub use error::ScenarioError;
 pub use faults::{FaultAction, FaultPlan, FaultSpec, MAX_FAULT_DELAY_MILLIS};
+pub use krum_dist::CrashPolicy;
 pub use report::{escape_metadata, ScenarioReport};
 pub use scenario::Scenario;
 pub use spec::{
-    CrashPolicy, ExecutionSpec, InitSpec, ProbeSpec, RemoteTimeouts, ScenarioSpec,
+    ExecutionSpec, InitSpec, ProbeSpec, RemoteTimeouts, ScenarioSpec,
     DEFAULT_HANDSHAKE_TIMEOUT_SECS, DEFAULT_HEARTBEAT_SECS, DEFAULT_ROUND_TIMEOUT_SECS,
     DEFAULT_STAFFING_TIMEOUT_SECS, EXECUTION_NAMES,
 };

@@ -3,7 +3,7 @@
 use krum_attacks::AttackSpec;
 use krum_compress::CompressionSpec;
 use krum_core::RuleSpec;
-use krum_dist::{ClusterSpec, ExecutionStrategy, LearningRateSchedule, NetworkModel};
+use krum_dist::{ClusterSpec, CrashPolicy, ExecutionStrategy, LearningRateSchedule, NetworkModel};
 use krum_models::EstimatorSpec;
 use krum_tensor::InitStrategy;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -23,30 +23,6 @@ pub const DEFAULT_STAFFING_TIMEOUT_SECS: u64 = 60;
 /// Default heartbeat interval, in seconds: how often the server pings
 /// silent workers mid-round.
 pub const DEFAULT_HEARTBEAT_SECS: u64 = 5;
-
-/// What a remote job does when an honest worker's connection dies (or its
-/// heartbeats go unanswered) mid-round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CrashPolicy {
-    /// Stall the round (bounded by the round timeout) until the worker
-    /// rejoins its slot — the bit-identity-preserving default: a crash
-    /// plus rejoin reproduces the uninterrupted trajectory exactly.
-    WaitForRejoin,
-    /// Close the round at the live arrivals, as long as at least `n − f`
-    /// distinct workers made the quorum — the crash is absorbed like one
-    /// more Byzantine fault, the round is marked degraded, and the
-    /// aggregation rule is rebuilt for the smaller arity.
-    ProceedAtQuorum,
-}
-
-impl std::fmt::Display for CrashPolicy {
-    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::WaitForRejoin => out.write_str("wait-for-rejoin"),
-            Self::ProceedAtQuorum => out.write_str("proceed-at-quorum"),
-        }
-    }
-}
 
 /// How the round pipeline executes — the serialisable face of
 /// [`ExecutionStrategy`].

@@ -27,7 +27,7 @@ use krum_wire::{read_frame, write_frame, CarryOver, Frame};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ServerError;
-use crate::job::close_policy;
+use crate::job::staleness_policy;
 
 /// Periodic checkpointing for a served job: where snapshots go and how
 /// often they are taken.
@@ -195,7 +195,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<ResumeState, ServerError> {
     // the close of round `round − 1` could have carried — issued before
     // `round`, and no staler than the job's bound.
     let n = state.spec.cluster.workers();
-    let (_, max_staleness, _) = close_policy(&state.spec.execution, n);
+    let (max_staleness, _) = staleness_policy(&state.spec.execution);
     for carried in &pending {
         let problem = if carried.worker as usize >= n {
             format!("is outside the {n}-worker roster")

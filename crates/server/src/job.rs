@@ -1,4 +1,4 @@
-//! The per-job round state machine: real arrivals in, rounds out.
+//! The per-job round driver: real arrivals in, rounds out.
 //!
 //! One job is one scenario served over sockets. The job thread owns the
 //! write halves of its worker connections and a channel fed by the
@@ -8,34 +8,39 @@
 //! 2. **collects** proposals in *real arrival order* into the job's
 //!    [`Quorum`] machine, which the in-process async engine drives too: it
 //!    opens the round with the carried stragglers of earlier rounds (they
-//!    are already at the server, so they outrank every fresh arrival),
+//!    are already at the server, so they outrank every fresh arrival) and
+//!    gives each [`Quorum::arrive`] its verdict while [`Quorum::waiting`],
 //! 3. **relays** the honest proposals to the adversary connection once
-//!    every honest proposal the round can still produce is in (the paper's
-//!    omniscient adversary, made explicit as bytes on the wire),
+//!    [`Quorum::relay_ready`] (the paper's omniscient adversary, made
+//!    explicit as bytes on the wire),
 //! 4. **closes the quorum** through the machine: it holds at most `quorum`
 //!    proposals, at most one per worker (the Byzantine share stays capped
 //!    at `f`), carries the leftovers forward under the `max_staleness`
-//!    bound and sorts the aggregation input by `(issued_round, worker)`,
-//!    and
+//!    bound, sorts the aggregation input by `(issued_round, worker)` and
+//!    marks the close full, degraded or refused, and
 //! 5. hands the quorum to the shared [`RoundCore`] for
 //!    aggregate → step → record — the same code path the in-process
 //!    engines run, which is why a loopback barrier run reproduces
 //!    [`Scenario::run`](krum_scenario::Scenario) bit-for-bit.
 //!
+//! The driver keeps the sockets, heartbeats, framing, slot authority and
+//! byte accounting; the protocol decisions are the machine's.
+//!
 //! # Churn: crash faults, heartbeats, rejoin, degraded rounds
 //!
 //! A connection that dies (or goes silent past the heartbeat grace) is a
-//! **crash fault**. What happens next is the spec's crash policy:
+//! **crash fault**, [`Quorum::lost`]; a worker back through the
+//! [`Frame::Rejoin`] handshake is [`Quorum::rejoined`]. The spec's crash
+//! policy, which the machine holds, decides what follows:
 //!
 //! * **fail fast** (non-`Remote` execution) — the job aborts with a
-//!   structured [`ServerError::WorkerLost`], exactly as before;
+//!   structured [`ServerError::WorkerLost`];
 //! * **wait-for-rejoin** — the slot is marked dead and the round keeps
-//!   waiting (bounded by the round timeout) for the worker to come back
-//!   through the [`Frame::Rejoin`] handshake. A rejoiner is re-staffed
-//!   into its old slot and hears the current round again; because workers
-//!   replay cached answers (or fast-forward their deterministic RNG
-//!   streams), the recovered round is *bit-identical* to an uninterrupted
-//!   one;
+//!   waiting (bounded by the round timeout) for the worker to come back. A
+//!   rejoiner is re-staffed into its old slot and hears the current round
+//!   again; because workers replay cached answers (or fast-forward their
+//!   deterministic RNG streams), the recovered round is *bit-identical* to
+//!   an uninterrupted one;
 //! * **proceed-at-quorum** — the round stops waiting for dead slots and
 //!   closes over the live proposals. When that leaves fewer than the
 //!   configured quorum, the round closes **degraded**: the same rule is
@@ -44,9 +49,10 @@
 //!   Fewer than `n − f` live proposals is unrecoverable —
 //!   [`ServerError::TooManyFaults`].
 //!
-//! Silence is probed with [`Frame::Ping`]/[`Frame::Pong`] heartbeats; a
-//! connection that misses [`MISSED_HEARTBEATS`] consecutive intervals is
-//! declared hung — a crash fault, same as a dropped socket.
+//! Silence is probed with [`Frame::Ping`]/[`Frame::Pong`] heartbeats to the
+//! slots the round [`Quorum::awaits`]; a connection that misses
+//! [`MISSED_HEARTBEATS`] consecutive intervals is declared hung — a crash
+//! fault, same as a dropped socket.
 //!
 //! The job can also **checkpoint** (snapshot `x_t`, the carry-over queue
 //! and the history after every cadence-th round, see [`crate::checkpoint`])
@@ -60,7 +66,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use krum_compress::GradientCodec;
-use krum_dist::{Proposal, Quorum, RoundCore, TrainingConfig};
+use krum_dist::{Arrival, Close, ClusterSpec, Proposal, Quorum, RoundCore, TrainingConfig};
 use krum_metrics::{RoundRecord, TrainingHistory};
 use krum_models::GradientEstimator;
 use krum_scenario::{
@@ -99,22 +105,20 @@ pub(crate) enum ConnEvent {
         /// The transport error, if the close was not clean.
         error: Option<WireError>,
     },
-    /// A worker re-staffed its old slot through the `Rejoin` handshake;
-    /// `stream` is the fresh write half (a new reader thread already feeds
-    /// this channel).
+    /// A worker re-staffed its old slot through the `Rejoin` handshake
+    /// (a new reader thread already feeds this channel).
     Rejoined {
         /// Worker slot being re-staffed.
         worker: u32,
-        /// Write half of the replacement socket.
-        stream: TcpStream,
-        /// Protocol version the rejoiner negotiated (it may differ from
-        /// the slot's previous incarnation).
-        version: u16,
+        /// The replacement connection; its protocol version may differ
+        /// from the slot's previous incarnation.
+        conn: JobConnection,
     },
 }
 
 /// Write half of one worker connection. A job's connections are indexed by
 /// worker slot (0..honest are honest, `honest` is the adversary).
+#[derive(Debug)]
 pub(crate) struct JobConnection {
     /// Write half of the socket (reads happen on the reader thread).
     pub stream: TcpStream,
@@ -162,33 +166,19 @@ impl JobRuntime {
     }
 }
 
-/// How rounds close for a given execution spec: quorum size, staleness
-/// bound, and whether the quorum/staleness columns should be recorded.
-pub(crate) fn close_policy(execution: &ExecutionSpec, n: usize) -> (usize, usize, bool) {
+/// The staleness bound a job's rounds close under, and whether they record
+/// the quorum/staleness columns (only a partial quorum does). The quorum
+/// itself is the spec's aggregation arity.
+pub(crate) fn staleness_policy(execution: &ExecutionSpec) -> (usize, bool) {
     match *execution {
-        ExecutionSpec::Sequential | ExecutionSpec::Threaded { .. } => (n, 0, false),
-        ExecutionSpec::AsyncQuorum {
-            quorum,
-            max_staleness,
-            ..
-        } => (quorum, max_staleness, true),
+        ExecutionSpec::Sequential | ExecutionSpec::Threaded { .. } => (0, false),
+        ExecutionSpec::AsyncQuorum { max_staleness, .. } => (max_staleness, true),
         ExecutionSpec::Remote {
             quorum,
             max_staleness,
             ..
-        } => match quorum {
-            Some(q) => (q, max_staleness, true),
-            None => (n, max_staleness, false),
-        },
+        } => (max_staleness, quorum.is_some()),
     }
-}
-
-/// The per-round closing rules of one job, bundled once in `drive_job`.
-struct ClosePolicy {
-    quorum: usize,
-    record_quorum: bool,
-    timeouts: RemoteTimeouts,
-    on_crash: Option<CrashPolicy>,
 }
 
 /// Runs one job to completion: `rounds` server rounds over the given
@@ -238,43 +228,77 @@ fn shutdown_all(id: u64, conns: &mut [JobConnection], reason: &str) {
     }
 }
 
-/// Declares a crash fault on connection `worker`: fatal under fail-fast,
-/// absorbed (slot marked dead, socket closed so the peer notices and can
-/// rejoin) under a crash policy. A second obituary for an already-dead
-/// slot is a no-op.
-fn crash(
-    on_crash: Option<CrashPolicy>,
-    alive: &mut [bool],
-    conns: &mut [JobConnection],
-    worker: u32,
+/// A job's connections during one round, and the bytes the round moved.
+struct Links<'a> {
+    conns: &'a mut [JobConnection],
     round: usize,
-    message: &str,
-) -> Result<(), ServerError> {
-    let w = worker as usize;
-    if w >= alive.len() || !alive[w] {
-        return Ok(());
-    }
-    if on_crash.is_none() {
-        return Err(ServerError::WorkerLost {
-            worker,
-            round: round as u64,
-            message: message.into(),
-        });
-    }
-    alive[w] = false;
-    // Close our half too: a peer alive behind a one-way fault sees EOF and
-    // starts its rejoin loop instead of waiting forever.
-    let _ = conns[w].stream.shutdown(Shutdown::Both);
-    Ok(())
+    wire_bytes: u64,
+    /// What the same traffic would have cost uncompressed: compressed
+    /// frames are charged at their raw `8·dim` framing, everything else at
+    /// its actual size — so `raw_bytes == wire_bytes` without a codec.
+    raw_bytes: u64,
 }
 
-/// The observation relay: every honest proposal of the round that exists
-/// so far, in worker order. A barrier round relays all `n − f`; a
+impl Links<'_> {
+    /// Protocol version of connection `c`.
+    fn version(&self, c: usize) -> u16 {
+        self.conns.get(c).map_or(0, |conn| conn.version)
+    }
+
+    /// Writes the encoded frame `bytes` to connection `c` and counts it,
+    /// at `raw` bytes uncompressed (`None`: its own size). A failed write
+    /// is a crash fault of `c`. Returns whether the frame went out.
+    fn send(
+        &mut self,
+        quorum: &mut Quorum,
+        c: usize,
+        bytes: &[u8],
+        raw: Option<u64>,
+        what: &str,
+    ) -> Result<bool, ServerError> {
+        let Some(conn) = self.conns.get_mut(c) else {
+            return Ok(false);
+        };
+        match write_encoded(&mut conn.stream, bytes) {
+            Ok(b) => {
+                self.wire_bytes += b as u64;
+                self.raw_bytes += raw.unwrap_or(b as u64);
+                Ok(true)
+            }
+            Err(e) => {
+                self.crash(quorum, c, &format!("{what} failed: {e}"))?;
+                Ok(false)
+            }
+        }
+    }
+
+    /// Declares a crash fault on connection `c`: fatal under fail-fast;
+    /// under a crash policy the machine marks the slot dead and the socket
+    /// is closed, so a peer alive behind a one-way fault sees EOF and
+    /// starts its rejoin loop instead of waiting forever.
+    fn crash(&mut self, quorum: &mut Quorum, c: usize, message: &str) -> Result<(), ServerError> {
+        if quorum.lost(c) {
+            return Err(ServerError::WorkerLost {
+                worker: c as u32,
+                round: self.round as u64,
+                message: message.into(),
+            });
+        }
+        if let Some(conn) = self.conns.get_mut(c) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        Ok(())
+    }
+}
+
+/// The observation relay, encoded: every honest proposal of the round that
+/// exists so far, in worker order. A barrier round relays all `n − f`; a
 /// crash-degraded round relays what the live workers produced (the relay
 /// is withheld until at least one exists, so it is never empty). With a
 /// negotiated codec and a v2 adversary, the relay rides the compressed
 /// framing (proposals encoded against this round's broadcast params); a
-/// v1 adversary hears the same quantized values raw.
+/// v1 adversary hears the same quantized values raw. Returns the bytes and
+/// their raw (uncompressed) size.
 fn relay_frame(
     id: u64,
     round: usize,
@@ -282,8 +306,8 @@ fn relay_frame(
     observed: &[Option<Vec<f64>>],
     codec: Option<&dyn GradientCodec>,
     version: u16,
-) -> Frame {
-    match codec {
+) -> (Vec<u8>, u64) {
+    let frame = match codec {
         Some(codec) if version >= 2 => Frame::BroadcastC {
             job: id,
             round: round as u64,
@@ -299,7 +323,9 @@ fn relay_frame(
             params: params.as_slice().to_vec(),
             observed: observed.iter().filter_map(Clone::clone).collect(),
         },
-    }
+    };
+    let relayed = observed.iter().filter(|o| o.is_some()).count();
+    (frame.encode(), raw_broadcast_len(params.dim(), relayed))
 }
 
 /// Bytes a `Broadcast` frame carrying `observed` relayed proposals costs
@@ -411,14 +437,8 @@ fn drive_job(
     };
     drop(estimators);
 
-    let (quorum_size, max_staleness, record_quorum) = close_policy(&spec.execution, n);
-    let policy = ClosePolicy {
-        quorum: quorum_size,
-        record_quorum,
-        timeouts: runtime.timeouts,
-        on_crash: runtime.on_crash,
-    };
-    let mut quorum = Quorum::new(n, quorum_size, max_staleness);
+    let (max_staleness, record_quorum) = staleness_policy(&spec.execution);
+    let mut quorum = Quorum::served(n, f, arity, max_staleness, runtime.on_crash);
 
     // Fresh start, or continue where the checkpoint left off. The snapshot
     // restores the server-side state; the workers restore theirs by
@@ -493,7 +513,6 @@ fn drive_job(
         }
     };
 
-    let mut alive = vec![true; conns.len()];
     let wall_start = Instant::now();
     for round in start_round..spec.rounds {
         let record = serve_round(
@@ -501,13 +520,13 @@ fn drive_job(
             round,
             spec,
             conns,
-            &mut alive,
             events,
             &mut core,
             &*probe,
             &mut params,
             &mut quorum,
-            &policy,
+            &runtime.timeouts,
+            record_quorum,
             codec.as_deref(),
         )?;
         history.push(record);
@@ -557,14 +576,13 @@ fn drive_job(
         params: params.as_slice().to_vec(),
     }
     .encode();
-    for c in 0..conns.len() {
-        if !alive[c] {
-            continue;
-        }
-        match write_encoded(&mut conns[c].stream, &aggregate) {
-            Ok(_) => {}
-            Err(_) if policy.on_crash.is_some() => {}
-            Err(e) => return Err(e.into()),
+    for (c, conn) in conns.iter_mut().enumerate() {
+        if quorum.is_live(c) {
+            if let Err(e) = write_encoded(&mut conn.stream, &aggregate) {
+                if runtime.on_crash.is_none() {
+                    return Err(e.into());
+                }
+            }
         }
     }
 
@@ -583,33 +601,29 @@ fn serve_round(
     round: usize,
     spec: &ScenarioSpec,
     conns: &mut [JobConnection],
-    alive: &mut [bool],
     events: &Receiver<ConnEvent>,
     core: &mut RoundCore,
     probe: &dyn GradientEstimator,
     params: &mut Vector,
     quorum: &mut Quorum,
-    policy: &ClosePolicy,
+    timeouts: &RemoteTimeouts,
+    record_quorum: bool,
     codec: Option<&dyn GradientCodec>,
 ) -> Result<RoundRecord, ServerError> {
     let cluster = spec.cluster;
-    let n = cluster.workers();
     let honest = cluster.honest();
     let f = cluster.byzantine();
     let adversary = honest; // connection index (meaningful when f > 0)
     let dim = core.dim();
-    let on_crash = policy.on_crash;
-    // Fail-fast and wait-for-rejoin both hold the round for every slot
-    // (dead ones are expected back); proceed-at-quorum stops waiting.
-    let wait_for_dead = !matches!(on_crash, Some(CrashPolicy::ProceedAtQuorum));
     let round_open = Instant::now();
-    let heartbeat = Duration::from_secs(policy.timeouts.heartbeat_secs);
-    let deadline = round_open + Duration::from_secs(policy.timeouts.round_secs);
-    let mut wire_bytes: u64 = 0;
-    // What the same traffic would have cost uncompressed: compressed
-    // frames are charged at their raw `8·dim` framing, everything else at
-    // its actual size — so `raw_bytes == wire_bytes` without a codec.
-    let mut raw_bytes: u64 = 0;
+    let heartbeat = Duration::from_secs(timeouts.heartbeat_secs);
+    let deadline = round_open + Duration::from_secs(timeouts.round_secs);
+    let mut links = Links {
+        conns,
+        round,
+        wire_bytes: 0,
+        raw_bytes: 0,
+    };
     let mut reconnects: u64 = 0;
 
     // Broadcast x_t to the live honest workers (the adversary hears later,
@@ -641,23 +655,11 @@ fn serve_round(
             .encode()
         }),
     };
+    let raw_broadcast = Some(raw_broadcast_len(dim, 0));
     for w in 0..honest {
-        if !alive[w] {
-            continue;
-        }
-        match write_encoded(&mut conns[w].stream, broadcast_for(conns[w].version)) {
-            Ok(b) => {
-                wire_bytes += b as u64;
-                raw_bytes += raw_broadcast_len(dim, 0);
-            }
-            Err(e) => crash(
-                on_crash,
-                alive,
-                conns,
-                w as u32,
-                round,
-                &format!("broadcast failed: {e}"),
-            )?,
+        if quorum.is_live(w) {
+            let bytes = broadcast_for(links.version(w));
+            links.send(quorum, w, bytes, raw_broadcast, "broadcast")?;
         }
     }
 
@@ -668,47 +670,31 @@ fn serve_round(
     // in heartbeats, crash obituaries and rejoins. The loop drains every
     // proposal the round can still produce: the quorum may close earlier
     // (its cutoff pins that moment), but stragglers reach the machine's
-    // carry pool before the next round opens.
-    let mut honest_seen = vec![false; honest];
-    let mut byzantine_seen = vec![false; f];
-    // Clones of the honest proposals for the adversary relay, worker order.
+    // carry pool before the next round opens. The honest proposals are
+    // cloned, in worker order, for the adversary relay.
     let mut observed: Vec<Option<Vec<f64>>> = if f > 0 {
         vec![None; honest]
     } else {
         Vec::new()
     };
-    let mut honest_arrived = 0usize;
-    let mut byzantine_arrived = 0usize;
-    let mut relay_sent = f == 0;
     let mut relay_at: Option<Instant> = None;
-    let mut adv_replayed = false;
     let mut propose_nanos: u128 = 0;
     let mut attack_nanos: u128 = 0;
-    let mut last_heard: Vec<Instant> = vec![round_open; conns.len()];
+    let mut last_heard: Vec<Instant> = vec![round_open; links.conns.len()];
     let mut next_tick = round_open + heartbeat;
     let mut ping_nonce: u64 = (round as u64) << 32;
-    loop {
-        // What the round still waits for, given who is alive and the
-        // policy. A relay that can never fire (no honest proposal exists
-        // and none is coming) stops the wait for Byzantine proposals — the
-        // close path below turns that into a structured error if the
-        // survivors cannot carry the round.
-        let outstanding_honest =
-            (0..honest).any(|w| !honest_seen[w] && (alive[w] || wait_for_dead));
-        let relay_stalled = !relay_sent && honest_arrived == 0 && !outstanding_honest;
-        let outstanding_byz =
-            f > 0 && byzantine_arrived < f && (alive[adversary] || wait_for_dead) && !relay_stalled;
-        if !outstanding_honest && !outstanding_byz {
-            break;
-        }
+    while quorum.waiting() {
         let now = Instant::now();
         if now >= deadline {
+            let (honest_arrived, byzantine_arrived) = quorum.arrived();
             return Err(ServerError::Timeout {
-                seconds: policy.timeouts.round_secs,
+                seconds: timeouts.round_secs,
                 what: format!(
                     "round {round} proposals of job {id} ({honest_arrived}/{honest} honest, \
                      {byzantine_arrived}/{f} byzantine, {} live connections)",
-                    alive.iter().filter(|a| **a).count()
+                    (0..links.conns.len())
+                        .filter(|&c| quorum.is_live(c))
+                        .count()
                 ),
             });
         }
@@ -716,8 +702,7 @@ fn serve_round(
             .min(deadline)
             .saturating_duration_since(now)
             .max(Duration::from_millis(1));
-        let event = match events.recv_timeout(wait) {
-            Ok(event) => event,
+        match events.recv_timeout(wait) {
             Err(RecvTimeoutError::Disconnected) => {
                 return Err(ServerError::protocol("every reader thread hung up mid-job"))
             }
@@ -727,27 +712,12 @@ fn serve_round(
                     // Ping the live connections the round still waits on; a
                     // connection silent for MISSED_HEARTBEATS intervals is
                     // hung — a crash fault, same as a dropped socket.
-                    for c in 0..conns.len() {
-                        if !alive[c] {
+                    for (c, heard) in last_heard.iter().enumerate() {
+                        if !quorum.awaits(c) {
                             continue;
                         }
-                        let waited_on = if c < honest {
-                            !honest_seen[c]
-                        } else {
-                            f > 0 && byzantine_arrived < f
-                        };
-                        if !waited_on {
-                            continue;
-                        }
-                        if last_heard[c].elapsed() >= heartbeat * MISSED_HEARTBEATS {
-                            crash(
-                                on_crash,
-                                alive,
-                                conns,
-                                c as u32,
-                                round,
-                                "no heartbeat: connection is hung",
-                            )?;
+                        if heard.elapsed() >= heartbeat * MISSED_HEARTBEATS {
+                            links.crash(quorum, c, "no heartbeat: connection is hung")?;
                             continue;
                         }
                         ping_nonce += 1;
@@ -755,237 +725,96 @@ fn serve_round(
                             job: id,
                             nonce: ping_nonce,
                         };
-                        match write_frame(&mut conns[c].stream, &ping) {
-                            Ok(b) => {
-                                wire_bytes += b as u64;
-                                raw_bytes += b as u64;
-                            }
-                            Err(e) => crash(
-                                on_crash,
-                                alive,
-                                conns,
-                                c as u32,
-                                round,
-                                &format!("ping failed: {e}"),
-                            )?,
-                        }
+                        links.send(quorum, c, &ping.encode(), None, "ping")?;
                     }
                 }
                 continue;
             }
-        };
-        match event {
-            ConnEvent::Closed { worker, error } => {
+            Ok(ConnEvent::Closed { worker, error }) => {
                 let message = error
                     .map(|e| e.to_string())
                     .unwrap_or_else(|| "connection closed".into());
-                crash(on_crash, alive, conns, worker, round, &message)?;
+                links.crash(quorum, worker as usize, &message)?;
             }
-            ConnEvent::Rejoined {
-                worker,
-                stream,
-                version,
-            } => {
+            Ok(ConnEvent::Rejoined { worker, conn }) => {
                 let w = worker as usize;
-                if w >= conns.len() {
+                let version = conn.version;
+                let (Some(slot), Some(heard)) = (links.conns.get_mut(w), last_heard.get_mut(w))
+                else {
                     continue; // admit() validates; belt and braces
-                }
-                conns[w].stream = stream;
-                conns[w].version = version;
-                alive[w] = true;
-                last_heard[w] = Instant::now();
+                };
+                *slot = conn;
+                *heard = Instant::now();
                 reconnects += 1;
-                if w < honest {
-                    if !honest_seen[w] {
-                        // Re-open the round for the rejoiner: it either
-                        // replays its cached answer (it had already proposed
-                        // into the void) or fast-forwards its RNG stream and
-                        // computes it — both bit-identical to the
-                        // uninterrupted proposal.
-                        match write_encoded(&mut conns[w].stream, broadcast_for(version)) {
-                            Ok(b) => {
-                                wire_bytes += b as u64;
-                                raw_bytes += raw_broadcast_len(dim, 0);
-                            }
-                            Err(e) => crash(
-                                on_crash,
-                                alive,
-                                conns,
-                                worker,
-                                round,
-                                &format!("rejoin broadcast failed: {e}"),
-                            )?,
-                        }
-                    }
-                } else if f > 0 && relay_sent && byzantine_arrived < f {
-                    // The adversary died with the relay in flight: replay
-                    // it. The worker caches (or deterministically
-                    // re-forges) its answer, so slots that did land are
-                    // resent bit-identical — tolerated as duplicates below.
-                    adv_replayed = true;
-                    let relay = relay_frame(id, round, params, &observed, codec, version);
-                    match write_frame(&mut conns[adversary].stream, &relay) {
-                        Ok(b) => {
-                            wire_bytes += b as u64;
-                            raw_bytes += raw_broadcast_len(
-                                dim,
-                                observed.iter().filter(|o| o.is_some()).count(),
-                            );
-                            relay_at = Some(Instant::now());
-                        }
-                        Err(e) => crash(
-                            on_crash,
-                            alive,
-                            conns,
-                            worker,
-                            round,
-                            &format!("relay replay failed: {e}"),
-                        )?,
+                // A rejoiner that must hear the round again: an honest
+                // worker hears its broadcast, the adversary its relay.
+                let reopen = quorum.rejoined(w);
+                if reopen && w < honest {
+                    let bytes = broadcast_for(version);
+                    links.send(quorum, w, bytes, raw_broadcast, "rejoin broadcast")?;
+                } else if reopen {
+                    let (relay, raw) = relay_frame(id, round, params, &observed, codec, version);
+                    if links.send(quorum, w, &relay, Some(raw), "relay replay")? {
+                        relay_at = Some(Instant::now());
                     }
                 }
             }
-            ConnEvent::Frame {
+            Ok(ConnEvent::Frame {
                 worker: conn_worker,
                 frame,
                 bytes,
-            } => {
-                wire_bytes += bytes as u64;
-                raw_bytes += match &frame {
+            }) => {
+                links.wire_bytes += bytes as u64;
+                links.raw_bytes += match &frame {
                     Frame::ProposeC { .. } => raw_propose_len(dim),
                     _ => bytes as u64,
                 };
-                if (conn_worker as usize) < last_heard.len() {
-                    last_heard[conn_worker as usize] = Instant::now();
+                if let Some(heard) = last_heard.get_mut(conn_worker as usize) {
+                    *heard = Instant::now();
                 }
-                // A raw proposal on a codec-bearing job (a v1 peer) is
-                // quantized server-side below, so both framings feed the
-                // aggregator identical bits.
-                let (job, propose_round, worker, mut proposal, arrived_raw) = match frame {
-                    Frame::Pong { .. } => continue, // liveness, noted above
-                    Frame::Propose {
-                        job,
-                        round,
-                        worker,
-                        proposal,
-                    } => (job, round, worker as usize, proposal, true),
-                    Frame::ProposeC {
-                        job,
-                        round: propose_round,
-                        worker,
-                        proposal,
-                    } => {
-                        let Some(codec) = codec else {
-                            return Err(ServerError::protocol(format!(
-                                "worker {conn_worker} sent a compressed proposal but \
-                                 the job negotiated no codec"
-                            )));
-                        };
-                        let decoded =
-                            codec
-                                .decode(&proposal, params.as_slice(), dim)
-                                .map_err(|e| {
-                                    ServerError::protocol(format!(
-                                        "worker {conn_worker} sent an undecodable proposal \
-                                         in round {round}: {e}"
-                                    ))
-                                })?;
-                        (job, propose_round, worker as usize, decoded, false)
-                    }
-                    other => {
-                        return Err(ServerError::protocol(format!(
-                            "unexpected {} frame from worker {conn_worker} during round {round}",
-                            other.name()
-                        )))
-                    }
+                let Some((propose_round, worker, proposal)) =
+                    proposal_in(frame, conn_worker, id, round, cluster, params, codec)?
+                else {
+                    continue; // a pong: liveness, noted above
                 };
-                if job != id {
-                    return Err(ServerError::protocol(format!(
-                        "worker {conn_worker} proposed for foreign job {job} (serving job {id})"
-                    )));
-                }
-                if propose_round != round as u64 {
-                    // Crash rounds can leave a straggler from an
-                    // already-closed round in flight; under a crash policy
-                    // it is dropped (that round closed without it), under
-                    // fail-fast it is the violation it always was.
-                    if on_crash.is_some() && propose_round < round as u64 {
-                        continue;
-                    }
-                    return Err(ServerError::protocol(format!(
-                        "worker {conn_worker} proposed for round {propose_round} \
-                         during round {round}"
-                    )));
-                }
-                if proposal.len() != dim {
-                    return Err(ServerError::protocol(format!(
-                        "worker {conn_worker} proposed dimension {}, expected {dim}",
-                        proposal.len()
-                    )));
-                }
-                // Quantize-before-aggregate: a v1 peer's raw floats pass
-                // through the same decode(encode(·)) a v2 peer's encoding
-                // implies, so the codec never sees a framing difference.
-                if arrived_raw {
-                    if let Some(codec) = codec {
-                        codec.transform(&mut proposal, params.as_slice());
-                    }
-                }
-                // Authority: honest connections propose exactly their own
-                // slot, the adversary connection proposes exactly the
-                // Byzantine slots.
-                let from_adversary = conn_worker as usize == adversary && f > 0;
-                if from_adversary {
-                    if worker < honest || worker >= n {
-                        return Err(ServerError::protocol(format!(
-                            "the adversary proposed for honest slot {worker}"
-                        )));
-                    }
-                    if byzantine_seen[worker - honest] {
-                        if adv_replayed {
-                            // A replayed relay re-forges bit-identical
-                            // proposals; the copies that already landed are
-                            // dropped, not a violation.
-                            continue;
-                        }
-                        return Err(ServerError::protocol(format!(
-                            "duplicate Byzantine proposal for slot {worker} in round {round}"
-                        )));
-                    }
-                    byzantine_seen[worker - honest] = true;
-                    byzantine_arrived += 1;
-                    if let Some(at) = relay_at {
-                        attack_nanos = at.elapsed().as_nanos();
-                    }
-                } else {
-                    if worker != conn_worker as usize {
-                        return Err(ServerError::protocol(format!(
-                            "worker {conn_worker} proposed for slot {worker}"
-                        )));
-                    }
-                    if honest_seen[worker] {
-                        if on_crash.is_some() {
-                            // A cached rejoin replay raced its original copy
-                            // through the old socket; the bits are
-                            // identical, drop the echo.
-                            continue;
-                        }
-                        return Err(ServerError::protocol(format!(
-                            "duplicate proposal from worker {worker} in round {round}"
-                        )));
-                    }
-                    honest_seen[worker] = true;
-                    honest_arrived += 1;
-                    propose_nanos = round_open.elapsed().as_nanos();
-                    if f > 0 {
-                        observed[worker] = Some(proposal.clone());
-                    }
-                }
-                quorum.offer(Proposal {
+                let relay_copy = observed.get(worker).map(|_| proposal.clone());
+                let arrival = round_open.elapsed().as_nanos();
+                let verdict = quorum.arrive(Proposal {
                     worker,
-                    issued_round: round,
-                    arrival: round_open.elapsed().as_nanos(),
+                    issued_round: usize::try_from(propose_round).unwrap_or(usize::MAX),
+                    arrival,
                     vector: Vector::from(proposal),
                 });
+                match verdict {
+                    Arrival::Joined | Arrival::Deferred if worker < honest => {
+                        propose_nanos = arrival;
+                        if let Some(slot) = observed.get_mut(worker) {
+                            *slot = relay_copy;
+                        }
+                    }
+                    Arrival::Joined | Arrival::Deferred => {
+                        if let Some(at) = relay_at {
+                            attack_nanos = at.elapsed().as_nanos();
+                        }
+                    }
+                    Arrival::Echo | Arrival::Late => {}
+                    Arrival::Duplicate if worker < honest => {
+                        return Err(ServerError::protocol(format!(
+                            "duplicate proposal from worker {worker} in round {round}"
+                        )))
+                    }
+                    Arrival::Duplicate => {
+                        return Err(ServerError::protocol(format!(
+                            "duplicate Byzantine proposal for slot {worker} in round {round}"
+                        )))
+                    }
+                    Arrival::WrongRound => {
+                        return Err(ServerError::protocol(format!(
+                            "worker {conn_worker} proposed for round {propose_round} \
+                             during round {round}"
+                        )))
+                    }
+                }
             }
         }
 
@@ -994,42 +823,17 @@ fn serve_round(
         // semantics — worker order, the same order the in-process engines
         // hand to `Attack::forge`). Re-checked after crashes too: a death
         // can be what completes the live set.
-        if f > 0 && !relay_sent && honest_arrived > 0 && alive[adversary] {
-            let all_in = (0..honest).all(|w| honest_seen[w] || (!alive[w] && !wait_for_dead));
-            if all_in {
-                let relay = relay_frame(
-                    id,
-                    round,
-                    params,
-                    &observed,
-                    codec,
-                    conns[adversary].version,
-                );
-                match write_frame(&mut conns[adversary].stream, &relay) {
-                    Ok(b) => {
-                        wire_bytes += b as u64;
-                        raw_bytes +=
-                            raw_broadcast_len(dim, observed.iter().filter(|o| o.is_some()).count());
-                        relay_sent = true;
-                        relay_at = Some(Instant::now());
-                    }
-                    Err(e) => crash(
-                        on_crash,
-                        alive,
-                        conns,
-                        adversary as u32,
-                        round,
-                        &format!("relay failed: {e}"),
-                    )?,
-                }
+        if quorum.relay_ready() {
+            let version = links.version(adversary);
+            let (relay, raw) = relay_frame(id, round, params, &observed, codec, version);
+            if links.send(quorum, adversary, &relay, Some(raw), "relay")? {
+                quorum.relay_sent();
+                relay_at = Some(Instant::now());
             }
         }
     }
     let stats = quorum.close();
-    let degraded = stats.size < policy.quorum;
-    if degraded && stats.size < honest {
-        // Below n − f live proposals no close is sound: more workers
-        // crashed than the fault bound absorbs.
+    if stats.close == Close::Refused {
         return Err(ServerError::TooManyFaults {
             job: id,
             round: round as u64,
@@ -1042,6 +846,7 @@ fn serve_round(
     // round closes through the same rule rebuilt at the surviving arity
     // (Krum's guarantee holds while 2f + 2 < live — the rebuild enforces
     // its own bound structurally).
+    let degraded = stats.close == Close::Degraded;
     let (vectors, workers) = (quorum.vectors(), quorum.workers());
     let true_gradient = probe.true_gradient(params);
     let mut record = if degraded {
@@ -1060,7 +865,7 @@ fn serve_round(
     };
     record.propose_nanos = propose_nanos;
     record.attack_nanos = attack_nanos;
-    if policy.record_quorum {
+    if record_quorum {
         stats.record(&mut record);
     }
     record.arrival_nanos = Some(stats.cutoff);
@@ -1072,7 +877,7 @@ fn serve_round(
     // the wire, so the remote attack adapts identically to the in-process
     // one. Stateless attacks hear nothing (the frame never fires), keeping
     // their traffic byte-identical to earlier protocol revisions.
-    if f > 0 && spec.attack.stateful() && alive[adversary] {
+    if f > 0 && spec.attack.stateful() && quorum.is_live(adversary) {
         let feedback = Frame::RoundFeedback {
             job: id,
             round: round as u64,
@@ -1083,21 +888,9 @@ fn serve_round(
                 byzantine: record.selected_byzantine.unwrap_or(w >= honest),
             }),
             quorum: workers.iter().map(|&w| w as u32).collect(),
-        };
-        match write_frame(&mut conns[adversary].stream, &feedback) {
-            Ok(b) => {
-                wire_bytes += b as u64;
-                raw_bytes += b as u64;
-            }
-            Err(e) => crash(
-                on_crash,
-                alive,
-                conns,
-                adversary as u32,
-                round,
-                &format!("round-feedback failed: {e}"),
-            )?,
         }
+        .encode();
+        links.send(quorum, adversary, &feedback, None, "round-feedback")?;
     }
 
     // Close the round towards the live workers (a dead one hears the next
@@ -1109,29 +902,100 @@ fn serve_round(
         aggregate_norm: record.aggregate_norm,
     }
     .encode();
-    for c in 0..conns.len() {
-        if !alive[c] {
-            continue;
-        }
-        match write_encoded(&mut conns[c].stream, &closed) {
-            Ok(b) => {
-                wire_bytes += b as u64;
-                raw_bytes += b as u64;
-            }
-            Err(e) => crash(
-                on_crash,
-                alive,
-                conns,
-                c as u32,
-                round,
-                &format!("round-close failed: {e}"),
-            )?,
+    for c in 0..links.conns.len() {
+        if quorum.is_live(c) {
+            links.send(quorum, c, &closed, None, "round-close")?;
         }
     }
-    record.wire_bytes = Some(wire_bytes);
-    record.raw_bytes = Some(raw_bytes);
+    record.wire_bytes = Some(links.wire_bytes);
+    record.raw_bytes = Some(links.raw_bytes);
     record.round_nanos = round_open.elapsed().as_nanos();
     Ok(record)
+}
+
+/// The proposal a frame from connection `conn_worker` carries, as
+/// `(round, worker, vector)` — `None` for a heartbeat answer — once it
+/// passes the framing checks: its job, its dimension and the connection's
+/// authority over the slot (honest connections propose exactly their own
+/// slot, the adversary connection exactly the Byzantine slots). A raw
+/// proposal on a codec-bearing job (a v1 peer) is quantized here through
+/// the same decode(encode(·)) a v2 peer's encoding implies, so both
+/// framings feed the aggregator identical bits.
+fn proposal_in(
+    frame: Frame,
+    conn_worker: u32,
+    id: u64,
+    round: usize,
+    cluster: ClusterSpec,
+    params: &Vector,
+    codec: Option<&dyn GradientCodec>,
+) -> Result<Option<(u64, usize, Vec<f64>)>, ServerError> {
+    let dim = params.dim();
+    let (job, propose_round, worker, mut proposal, arrived_raw) = match frame {
+        Frame::Pong { .. } => return Ok(None),
+        Frame::Propose {
+            job,
+            round,
+            worker,
+            proposal,
+        } => (job, round, worker as usize, proposal, true),
+        Frame::ProposeC {
+            job,
+            round: propose_round,
+            worker,
+            proposal,
+        } => {
+            let Some(codec) = codec else {
+                return Err(ServerError::protocol(format!(
+                    "worker {conn_worker} sent a compressed proposal but \
+                     the job negotiated no codec"
+                )));
+            };
+            let decoded = codec
+                .decode(&proposal, params.as_slice(), dim)
+                .map_err(|e| {
+                    ServerError::protocol(format!(
+                        "worker {conn_worker} sent an undecodable proposal \
+                         in round {round}: {e}"
+                    ))
+                })?;
+            (job, propose_round, worker as usize, decoded, false)
+        }
+        other => {
+            return Err(ServerError::protocol(format!(
+                "unexpected {} frame from worker {conn_worker} during round {round}",
+                other.name()
+            )))
+        }
+    };
+    if job != id {
+        return Err(ServerError::protocol(format!(
+            "worker {conn_worker} proposed for foreign job {job} (serving job {id})"
+        )));
+    }
+    if proposal.len() != dim {
+        return Err(ServerError::protocol(format!(
+            "worker {conn_worker} proposed dimension {}, expected {dim}",
+            proposal.len()
+        )));
+    }
+    if conn_worker as usize == cluster.honest() && cluster.byzantine() > 0 {
+        if worker < cluster.honest() || worker >= cluster.workers() {
+            return Err(ServerError::protocol(format!(
+                "the adversary proposed for honest slot {worker}"
+            )));
+        }
+    } else if worker != conn_worker as usize {
+        return Err(ServerError::protocol(format!(
+            "worker {conn_worker} proposed for slot {worker}"
+        )));
+    }
+    if arrived_raw {
+        if let Some(codec) = codec {
+            codec.transform(&mut proposal, params.as_slice());
+        }
+    }
+    Ok(Some((propose_round, worker, proposal)))
 }
 
 #[cfg(test)]

@@ -66,8 +66,11 @@ struct JobSlot {
 }
 
 impl JobSlot {
-    fn new(id: u64, spec: ScenarioSpec, per_job: usize, runtime: JobRuntime) -> Self {
+    /// A job waiting for its roster: one connection per honest worker plus
+    /// one adversary connection when `f > 0`.
+    fn new(id: u64, spec: ScenarioSpec, runtime: JobRuntime) -> Self {
         let (sender, events) = mpsc::channel();
+        let per_job = spec.cluster.honest() + usize::from(spec.cluster.byzantine() > 0);
         Self {
             id,
             spec,
@@ -143,8 +146,6 @@ impl Server {
         }
         validate_relay_size(&spec)?;
         let timeouts = spec.execution.remote_timeouts();
-        let cluster = spec.cluster;
-        let per_job = cluster.honest() + usize::from(cluster.byzantine() > 0);
         let listener = TcpListener::bind(addr)?;
         let jobs = (0..jobs as u64)
             .map(|k| {
@@ -154,7 +155,7 @@ impl Server {
                     job_spec.seed = spec.seed.wrapping_add(k);
                 }
                 let runtime = JobRuntime::for_spec(&job_spec);
-                JobSlot::new(k, job_spec, per_job, runtime)
+                JobSlot::new(k, job_spec, runtime)
             })
             .collect();
         Ok(Self {
@@ -198,11 +199,9 @@ impl Server {
             let timeouts = spec.execution.remote_timeouts();
             handshake_secs = handshake_secs.max(timeouts.handshake_secs);
             staffing_secs = staffing_secs.max(timeouts.staffing_secs);
-            let cluster = spec.cluster;
-            let per_job = cluster.honest() + usize::from(cluster.byzantine() > 0);
             let mut runtime = JobRuntime::for_spec(&spec);
             runtime.resume = Some(resume);
-            jobs.push(JobSlot::new(id, spec, per_job, runtime));
+            jobs.push(JobSlot::new(id, spec, runtime));
         }
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
@@ -390,27 +389,9 @@ impl Server {
             );
             return Ok(());
         };
-        write_frame(
-            &mut stream,
-            &Frame::JobAssign {
-                job: slot.id,
-                worker,
-                seed: slot.spec.seed,
-                spec_json: slot.spec.to_json()?,
-            },
-        )?;
-        stream.set_read_timeout(None)?;
-        let write_half = stream.try_clone()?;
-        let sender = slot.sender.clone();
-        // Detached on purpose: the reader exits when its socket closes (or
-        // when the job drops its receiver), so a hung foreign client can
-        // never wedge the serve loop on a join.
-        std::thread::spawn(move || reader_loop(stream, worker, sender));
-        if let Some(conn) = slot.conns.get_mut(worker as usize) {
-            *conn = Some(JobConnection {
-                stream: write_half,
-                version,
-            });
+        let conn = assign(slot, stream, worker, version)?;
+        if let Some(c) = slot.conns.get_mut(worker as usize) {
+            *c = Some(conn);
         }
         slot.start_if_staffed();
         Ok(())
@@ -447,38 +428,11 @@ impl Server {
                 format!("slot {worker} of job {job} is already connected"),
             );
         }
-        // Same assignment a fresh staffing would get: same slot, same
-        // seed, same spec — the worker's determinism does the rest.
-        write_frame(
-            &mut stream,
-            &Frame::JobAssign {
-                job: slot.id,
-                worker,
-                seed: slot.spec.seed,
-                spec_json: slot.spec.to_json()?,
-            },
-        )?;
-        stream.set_read_timeout(None)?;
-        let write_half = stream.try_clone()?;
-        let sender = slot.sender.clone();
-        std::thread::spawn(move || reader_loop(stream, worker, sender));
-        let conn = JobConnection {
-            stream: write_half,
-            version,
-        };
+        let conn = assign(slot, stream, worker, version)?;
         if slot.handle.is_some() {
-            // Running job: hand the fresh write half to the round machine.
-            if slot
-                .sender
-                .send(ConnEvent::Rejoined {
-                    worker,
-                    stream: conn.stream,
-                    version,
-                })
-                .is_err()
-            {
-                // The job finished between the check and the send.
-            }
+            // Running job: hand the fresh write half to the round driver
+            // (a job that finished since the check above drops it).
+            let _ = slot.sender.send(ConnEvent::Rejoined { worker, conn });
         } else {
             // Resumed-but-unstarted job: staff the old slot directly (the
             // bounds reject above proved `w` is a real slot).
@@ -489,6 +443,38 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// Staffs slot `worker` of `slot`'s job with `stream`: sends the same
+/// assignment every staffing of the slot gets (same slot, seed and spec —
+/// the worker's determinism does the rest), starts the connection's reader
+/// thread and returns the write half.
+fn assign(
+    slot: &JobSlot,
+    mut stream: TcpStream,
+    worker: u32,
+    version: u16,
+) -> Result<JobConnection, ServerError> {
+    write_frame(
+        &mut stream,
+        &Frame::JobAssign {
+            job: slot.id,
+            worker,
+            seed: slot.spec.seed,
+            spec_json: slot.spec.to_json()?,
+        },
+    )?;
+    stream.set_read_timeout(None)?;
+    let write_half = stream.try_clone()?;
+    let sender = slot.sender.clone();
+    // Detached on purpose: the reader exits when its socket closes (or
+    // when the job drops its receiver), so a hung foreign client can
+    // never wedge the serve loop on a join.
+    std::thread::spawn(move || reader_loop(stream, worker, sender));
+    Ok(JobConnection {
+        stream: write_half,
+        version,
+    })
 }
 
 /// The version-mismatch goodbye.
@@ -531,18 +517,9 @@ fn reader_loop(mut stream: TcpStream, worker: u32, sender: Sender<ConnEvent>) {
                     break;
                 }
             }
-            Err(WireError::Closed) => {
-                let _ = sender.send(ConnEvent::Closed {
-                    worker,
-                    error: None,
-                });
-                break;
-            }
             Err(e) => {
-                let _ = sender.send(ConnEvent::Closed {
-                    worker,
-                    error: Some(e),
-                });
+                let error = (!matches!(e, WireError::Closed)).then_some(e);
+                let _ = sender.send(ConnEvent::Closed { worker, error });
                 break;
             }
         }

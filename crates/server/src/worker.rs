@@ -323,159 +323,34 @@ impl WorkerSession {
     /// when the server violates the protocol.
     pub fn serve(mut self) -> Result<WorkerSummary, ServerError> {
         let mut final_params: Option<Vector> = None;
-        let shutdown_reason;
         // One frame-sized buffer for the session's lifetime.
         let mut buf = Vec::new();
-        loop {
-            let frame = match read_frame_into(&mut self.stream, &mut buf) {
+        let shutdown_reason = loop {
+            let handled = match read_frame_into(&mut self.stream, &mut buf) {
                 Ok((frame, bytes)) => {
                     self.wire_bytes += bytes as u64;
-                    frame
-                }
-                Err(e) => match self.rejoin(e.into())? {
-                    RejoinOutcome::Resumed => continue,
-                    RejoinOutcome::Ended(reason) => {
-                        shutdown_reason = reason;
-                        break;
+                    match frame {
+                        Frame::Aggregate { params, .. } => {
+                            final_params = Some(Vector::from(params));
+                            Ok(())
+                        }
+                        Frame::Shutdown { reason, .. } => break reason,
+                        frame => self.handle(frame),
                     }
-                },
+                }
+                Err(e) => Err(e.into()),
             };
-            match frame {
-                Frame::Broadcast {
-                    job: j,
-                    round,
-                    params,
-                    observed,
-                } => {
-                    if j != self.job {
-                        return Err(ServerError::protocol(format!(
-                            "broadcast for foreign job {j} (serving job {})",
-                            self.job
-                        )));
-                    }
-                    if params.len() != self.dim {
-                        return Err(ServerError::protocol(format!(
-                            "broadcast of dimension {}, expected {}",
-                            params.len(),
-                            self.dim
-                        )));
-                    }
-                    match self.answer_broadcast(round, params, observed) {
-                        Ok(()) => {}
-                        Err(e) if is_transport(&e) => match self.rejoin(e)? {
-                            RejoinOutcome::Resumed => {}
-                            RejoinOutcome::Ended(reason) => {
-                                shutdown_reason = reason;
-                                break;
-                            }
-                        },
-                        Err(e) => return Err(e),
-                    }
-                }
-                Frame::BroadcastC {
-                    job: j,
-                    round,
-                    params,
-                    observed,
-                } => {
-                    if j != self.job {
-                        return Err(ServerError::protocol(format!(
-                            "broadcast for foreign job {j} (serving job {})",
-                            self.job
-                        )));
-                    }
-                    let Some(codec) = &self.codec else {
-                        return Err(ServerError::protocol(
-                            "compressed broadcast on a session that negotiated no codec"
-                                .to_string(),
-                        ));
-                    };
-                    let params = codec.decode_params(&params, self.dim).map_err(|e| {
-                        ServerError::protocol(format!("undecodable broadcast params: {e}"))
-                    })?;
-                    let observed = observed
-                        .iter()
-                        .map(|o| codec.decode(o, &params, self.dim))
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| {
-                            ServerError::protocol(format!("undecodable observation relay: {e}"))
-                        })?;
-                    match self.answer_broadcast(round, params, observed) {
-                        Ok(()) => {}
-                        Err(e) if is_transport(&e) => match self.rejoin(e)? {
-                            RejoinOutcome::Resumed => {}
-                            RejoinOutcome::Ended(reason) => {
-                                shutdown_reason = reason;
-                                break;
-                            }
-                        },
-                        Err(e) => return Err(e),
-                    }
-                }
-                Frame::Ping { job: _, nonce } => {
-                    let pong = Frame::Pong {
-                        job: self.job,
-                        nonce,
-                    };
-                    match write_frame(&mut self.stream, &pong) {
-                        Ok(bytes) => self.wire_bytes += bytes as u64,
-                        Err(e) => match self.rejoin(e.into())? {
-                            RejoinOutcome::Resumed => {}
-                            RejoinOutcome::Ended(reason) => {
-                                shutdown_reason = reason;
-                                break;
-                            }
-                        },
-                    }
-                }
-                Frame::RoundClosed { .. } => {}
-                Frame::RoundFeedback {
-                    job: j,
-                    round,
-                    aggregate,
-                    learning_rate,
-                    selected,
-                    quorum,
-                } => {
-                    if j != self.job {
-                        return Err(ServerError::protocol(format!(
-                            "round-feedback for foreign job {j} (serving job {})",
-                            self.job
-                        )));
-                    }
-                    // The server only addresses feedback to the adversary
-                    // connection of a stateful attack; anyone else hearing
-                    // it means the server is confused about roles.
-                    let Role::Adversary { attack, .. } = &mut self.role else {
-                        return Err(ServerError::protocol(
-                            "round-feedback sent to an honest worker".to_string(),
-                        ));
-                    };
-                    let feedback = RoundFeedback {
-                        round: round as usize,
-                        aggregate: Vector::from(aggregate),
-                        learning_rate,
-                        selected_worker: selected.map(|s| s.worker as usize),
-                        selected_byzantine: selected.map(|s| s.byzantine),
-                        quorum_workers: quorum.into_iter().map(|w| w as usize).collect(),
-                    };
-                    attack.observe(&feedback);
-                }
-                Frame::Aggregate { params, .. } => {
-                    final_params = Some(Vector::from(params));
-                }
-                Frame::Shutdown { reason, .. } => {
-                    shutdown_reason = reason;
-                    break;
-                }
-                other => {
-                    return Err(ServerError::protocol(format!(
-                        "unexpected {} frame from the server",
-                        other.name()
-                    )))
-                }
+            // A dead transport is healed by a rejoin; anything else ends
+            // the session.
+            match handled {
+                Ok(()) => {}
+                Err(e) if is_transport(&e) => match self.rejoin(e)? {
+                    RejoinOutcome::Resumed => {}
+                    RejoinOutcome::Ended(reason) => break reason,
+                },
+                Err(e) => return Err(e),
             }
-        }
+        };
 
         Ok(WorkerSummary {
             job: self.job,
@@ -489,6 +364,93 @@ impl WorkerSession {
         })
     }
 
+    /// Acts on one mid-session frame from the server.
+    fn handle(&mut self, frame: Frame) -> Result<(), ServerError> {
+        match frame {
+            Frame::Broadcast { job, .. } | Frame::BroadcastC { job, .. } if job != self.job => {
+                Err(ServerError::protocol(format!(
+                    "broadcast for foreign job {job} (serving job {})",
+                    self.job
+                )))
+            }
+            Frame::Broadcast {
+                round,
+                params,
+                observed,
+                ..
+            } => self.answer_broadcast(round, params, observed),
+            Frame::BroadcastC {
+                round,
+                params,
+                observed,
+                ..
+            } => {
+                let Some(codec) = &self.codec else {
+                    return Err(ServerError::protocol(
+                        "compressed broadcast on a session that negotiated no codec".to_string(),
+                    ));
+                };
+                let params = codec.decode_params(&params, self.dim).map_err(|e| {
+                    ServerError::protocol(format!("undecodable broadcast params: {e}"))
+                })?;
+                let observed = observed
+                    .iter()
+                    .map(|o| codec.decode(o, &params, self.dim))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| {
+                        ServerError::protocol(format!("undecodable observation relay: {e}"))
+                    })?;
+                self.answer_broadcast(round, params, observed)
+            }
+            Frame::Ping { job: _, nonce } => {
+                let pong = Frame::Pong {
+                    job: self.job,
+                    nonce,
+                };
+                self.wire_bytes += write_frame(&mut self.stream, &pong)? as u64;
+                Ok(())
+            }
+            Frame::RoundClosed { .. } => Ok(()),
+            Frame::RoundFeedback {
+                job: j,
+                round,
+                aggregate,
+                learning_rate,
+                selected,
+                quorum,
+            } => {
+                if j != self.job {
+                    return Err(ServerError::protocol(format!(
+                        "round-feedback for foreign job {j} (serving job {})",
+                        self.job
+                    )));
+                }
+                // The server only addresses feedback to the adversary
+                // connection of a stateful attack; anyone else hearing
+                // it means the server is confused about roles.
+                let Role::Adversary { attack, .. } = &mut self.role else {
+                    return Err(ServerError::protocol(
+                        "round-feedback sent to an honest worker".to_string(),
+                    ));
+                };
+                let feedback = RoundFeedback {
+                    round: round as usize,
+                    aggregate: Vector::from(aggregate),
+                    learning_rate,
+                    selected_worker: selected.map(|s| s.worker as usize),
+                    selected_byzantine: selected.map(|s| s.byzantine),
+                    quorum_workers: quorum.into_iter().map(|w| w as usize).collect(),
+                };
+                attack.observe(&feedback);
+                Ok(())
+            }
+            other => Err(ServerError::protocol(format!(
+                "unexpected {} frame from the server",
+                other.name()
+            ))),
+        }
+    }
+
     /// Answers one `Broadcast`: replays the cached answer bit-identically
     /// for a re-broadcast, fast-forwards skipped rounds, or computes (and
     /// caches) a fresh answer.
@@ -498,6 +460,13 @@ impl WorkerSession {
         params: Vec<f64>,
         observed: Vec<Vec<f64>>,
     ) -> Result<(), ServerError> {
+        if params.len() != self.dim {
+            return Err(ServerError::protocol(format!(
+                "broadcast of dimension {}, expected {}",
+                params.len(),
+                self.dim
+            )));
+        }
         if let Some((answered_round, bytes)) = &self.answered {
             if *answered_round == round {
                 self.wire_bytes += write_encoded(&mut self.stream, bytes)? as u64;
