@@ -144,9 +144,11 @@ fn main() {
             )
         })
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "e10_server_loopback (crates/bench/src/bin/e10_server_loopback.rs)",
+  {provenance}
   "description": "throughput and wire cost of the krum-server subsystem: one scenario (krum vs sign-flip, n = {N}, f = {F}, d = {DIM}, {ROUNDS} rounds, seed 31) run in-process (Sequential engine) and served over loopback TCP (krum serve machinery: {} honest worker threads + 1 adversary connection, length-framed krum-wire protocol, omniscient-adversary observation relay)",
   "method": "both runs execute the identical ScenarioSpec; the driver asserts the final parameter vectors are bit-identical before comparing wall clocks, so the ratio is pure serving overhead (sockets, framing, threads). wire_bytes_per_round and mean_arrival_micros come from the wire_bytes/arrival_nanos RoundRecord columns only the server fills",
   "claims": [

@@ -206,9 +206,11 @@ fn main() {
             )
         })
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "e11_churn (crates/bench/src/bin/e11_churn.rs)",
+  {provenance}
   "description": "recovery cost of the PR-6 fault-tolerance machinery: one scenario (krum vs sign-flip, n = {N}, f = {F}, d = {DIM}, {ROUNDS} rounds, seed 47, heartbeat 1s, on_crash = WaitForRejoin) served cleanly, with an honest worker's socket severed mid-job (deterministic chaos proxy), and with the server killed after round 3 and resumed from its round checkpoints",
   "method": "all three runs execute the identical ScenarioSpec behind the in-process ChaosProxy harness; the driver asserts the faulted trajectories are bit-identical to the clean one before comparing, so the numbers are pure recovery overhead. recovery_latency_millis is the arrival time of the slowest round (the faulted round: death detection + deterministic backoff + Rejoin handshake + replay, or checkpoint resume + re-staffing)",
   "claims": [

@@ -316,9 +316,11 @@ fn main() {
             )
         })
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "e12_hier_scaling (crates/bench/src/bin/e12_hier_scaling.rs)",
+  {provenance}
   "description": "scaling krum past n = 160: (1) hierarchical group aggregation (krum per round-robin group, krum over the {GROUPS} winners) vs flat krum at n = 1000-4000, d = {DIM}; (2) generation-keyed incremental Gram reuse on reuse-mode async-quorum rounds at n = 1024, d = 256 with 12.5% fresh arrivals per round; (3) the 32-lane ILP dot vs explicit std::simd-style chunking",
   "method": "rounds/sec over warm aggregate_in calls on a reusable workspace (auto execution policy: a pass uses the thread pool only from 2^27 multiply-adds, which among these cells is flat krum at n=4000); the reuse comparison runs the full async engine with the aggregation policy forced sequential on both sides and reports 1e9 / mean aggregation_nanos; trajectory bit-identity (aggregate norms and final parameters) is asserted in-process before these numbers are printed",
   "claims": [

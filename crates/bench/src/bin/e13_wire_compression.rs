@@ -187,9 +187,11 @@ fn main() {
             )
         })
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "e13_wire_compression (crates/bench/src/bin/e13_wire_compression.rs)",
+  {provenance}
   "description": "accuracy-vs-bytes curve of the krum-compress codecs over the krum-server wire: one scenario (krum vs sign-flip, n = {N}, f = {F}, d = {DIM}, {ROUNDS} rounds, seed 31) served over loopback TCP uncompressed (v2, raw f64 frames) and under each codec the spec grammar names (block floating point at 12 and 8 mantissa bits, top-k sparsification at k = 250, and their delta-vs-broadcast composites)",
   "method": "each codec run asserts bit-identity against the in-process run of the same quantized scenario before reporting (quantize-before-aggregate determinism), so the loss deltas are the cost of quantization itself, not of serving. wire_bytes_per_round is the measured post-compression traffic; raw_bytes_per_round charges compressed frames at their uncompressed framing equivalent (the raw_bytes RoundRecord column)",
   "claims": [

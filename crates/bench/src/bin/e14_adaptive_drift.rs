@@ -190,9 +190,11 @@ fn main() {
             )
         })
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "e14_adaptive_drift (crates/bench/src/bin/e14_adaptive_drift.rs)",
+  {provenance}
   "description": "stateful attack vs stateful defense drift curves: inlier-drift:sigma=1.0,target=neg (a steering attack that stays inside the honest sigma-band and adapts through per-round selection feedback) against krum, multi-krum, reputation-weighted EWMA down-weighting and momentum-anchored centered clipping at n = {N}, f = {F}, d = {DIM}, {ROUNDS} rounds, seed {SEED}",
   "method": "attacker_displacement is the drift-metrics column: the cumulative projection of the applied updates onto the attack direction (Byzantine mean minus honest mean, unit-normed) — the attacker's net pull on the parameters. every cell is run twice from the same seed and asserted bit-identical including the drift columns; the reputation-weighted cell is additionally served over loopback TCP, where the adversary adapts through RoundFeedback wire frames, and asserted bit-identical to the in-process run",
   "claims": [

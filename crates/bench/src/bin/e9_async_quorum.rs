@@ -170,9 +170,11 @@ fn main() {
             )
         })
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "e9_async_quorum (crates/bench/src/bin/e9_async_quorum.rs)",
+  {provenance}
   "description": "simulated per-round network cost and trajectory quality of the synchronous barrier (threaded engine, waits for the slowest of n workers) vs async partial-quorum execution (closes each round at the quorum-th arrival, carries stragglers with staleness <= {MAX_STALENESS}) at n = {N}, f = {F}, d = {DIM}, krum, {ROUNDS} rounds, under a heavy-tailed Pareto straggler network (min 50 us one-way, alpha 1.1, 0.05 ns/byte)",
   "method": "mean simulated network nanos per round from the RoundRecord network_nanos column; trajectory quality is the final distance to the quadratic optimum; all runs are deterministic functions of seed 29",
   "claims": [

@@ -204,9 +204,11 @@ fn main() {
         .iter()
         .map(|&(rule, n, f, dim)| json_entry(rule, n, f, dim))
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "round_pipeline (crates/bench/src/bin/round_pipeline.rs)",
+  {provenance}
   "description": "aggregation path before/after the AggregationContext refactor: wall time and heap allocations per call, plus mean full-round time through the shared RoundEngine (sequential strategy, Gaussian-noise attack, quadratic estimators)",
   "method": "median of {REPEATS} repeats x {CALLS_PER_MEASUREMENT} calls; allocations counted with a thread-local counting global allocator; both paths use the sequential execution policy so the comparison isolates allocation reuse: 'before' aggregates into a fresh AggregationContext every call (the allocation-per-call pattern behind aggregate_detailed), 'after' is aggregate_in on one warmed context",
   "configs": [

@@ -211,9 +211,11 @@ fn main() {
         .iter()
         .map(|&(rule, dim)| json_entry(rule, dim))
         .collect();
+    let provenance = krum_bench::provenance();
     println!(
         r#"{{
   "benchmark": "scenario_overhead (crates/bench/src/bin/scenario_overhead.rs)",
+  {provenance}
   "description": "cost of the declarative scenario API vs a hand-wired RoundEngine for the same experiment (gaussian-noise attack, quadratic estimators, sequential strategy): steady-state allocations per engine round for the scenario-built vs hand-built engine, and median end-to-end wall time (construction + {ROUNDS}-round run) for Scenario::run vs the hand-wired pipeline",
   "method": "allocations counted with a thread-local counting global allocator over {MEASURED_ROUNDS} warm rounds (sequential aggregation policy); wall times are the median of {WALL_REPEATS} end-to-end repeats",
   "claims": [

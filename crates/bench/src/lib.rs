@@ -108,10 +108,76 @@ pub fn time_aggregation<A: Aggregator + ?Sized>(aggregator: &A, proposals: &[Vec
     start.elapsed().as_nanos()
 }
 
+/// The `"date"` and `"host"` members every `BENCH_*.json` record carries,
+/// as JSON text to print right after its `"benchmark"` member: the UTC day
+/// of the run and the CPU model with its logical CPU count, so no recorded
+/// number is separated from when and where it was measured.
+pub fn provenance() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter(|line| line.starts_with("model name"))
+                .find_map(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let days = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |since| since.as_secs() / 86_400);
+    format!(
+        "\"date\": \"{}\",\n  \"host\": \"{cpu}, {cpus} logical CPUs\",",
+        civil_date(days as i64)
+    )
+}
+
+/// `YYYY-MM-DD` of a count of days since 1970-01-01 (the proleptic
+/// Gregorian calendar, H. Hinnant's `civil_from_days`).
+fn civil_date(days: i64) -> String {
+    let z = days + 719_468;
+    let era = z.div_euclid(146_097);
+    let day_of_era = z.rem_euclid(146_097);
+    let year_of_era =
+        (day_of_era - day_of_era / 1460 + day_of_era / 36_524 - day_of_era / 146_096) / 365;
+    let day_of_year = day_of_era - (365 * year_of_era + year_of_era / 4 - year_of_era / 100);
+    let shifted_month = (5 * day_of_year + 2) / 153;
+    let day = day_of_year - (153 * shifted_month + 2) / 5 + 1;
+    let month = if shifted_month < 10 {
+        shifted_month + 3
+    } else {
+        shifted_month - 9
+    };
+    let year = year_of_era + era * 400 + i64::from(month <= 2);
+    format!("{year:04}-{month:02}-{day:02}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use krum_core::Krum;
+
+    #[test]
+    fn civil_dates_cross_leap_days_and_centuries() {
+        assert_eq!(civil_date(0), "1970-01-01");
+        assert_eq!(civil_date(59), "1970-03-01");
+        assert_eq!(civil_date(11_016), "2000-02-29");
+        assert_eq!(civil_date(11_017), "2000-03-01");
+        assert_eq!(civil_date(20_664), "2026-07-30");
+        assert_eq!(civil_date(-1), "1969-12-31");
+    }
+
+    #[test]
+    fn provenance_is_two_json_members() {
+        let members = provenance();
+        let json = format!("{{{}\"x\": 0}}", members);
+        let value = serde_json::parse(&json).unwrap();
+        let serde::Value::Object(fields) = value else {
+            panic!("not an object: {json}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["date", "host", "x"]);
+    }
 
     #[test]
     fn estimator_factory_produces_requested_count_and_dim() {

@@ -145,11 +145,12 @@ impl GradientEstimator for GaussianEstimator {
                 found: params.dim(),
             });
         }
-        let mut g = self.cost.true_gradient(params);
-        if self.sigma > 0.0 {
-            let noise = Vector::gaussian(self.dim(), 0.0, self.sigma, rng);
-            g.axpy(1.0, &noise);
+        if self.sigma == 0.0 {
+            return Ok(self.cost.true_gradient(params));
         }
+        // One vector: ξ is drawn into it and ∇Q(x) added in place.
+        let mut g = Vector::gaussian(self.dim(), 0.0, self.sigma, rng);
+        self.cost.add_gradient(params, &mut g);
         Ok(g)
     }
 
@@ -222,6 +223,26 @@ mod tests {
             (mean_sq_dev - expected).abs() / expected < 0.1,
             "E‖G − g‖² = {mean_sq_dev}, expected ≈ {expected}"
         );
+    }
+
+    #[test]
+    fn gaussian_estimate_is_the_gradient_plus_its_noise_bit_for_bit() {
+        // Odd d, zero gradient coordinates of both signs.
+        let dim = 65;
+        let optimum = Vector::from((0..dim).map(|i| 0.25 * i as f64 - 4.0).collect::<Vec<_>>());
+        let curvature = Vector::from((0..dim).map(|i| 1.0 + (i % 7) as f64).collect::<Vec<_>>());
+        let cost = QuadraticCost::diagonal(optimum.clone(), curvature, 0.0).unwrap();
+        let est = GaussianEstimator::new(cost.clone(), 0.3).unwrap();
+        let mut params = optimum.clone();
+        // x*_16 = +0, so x_16 = −0 gives a −0 gradient coordinate.
+        params.as_mut_slice()[16] = -0.0;
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut reference = rng.clone();
+        let got = est.estimate(&params, &mut rng).unwrap();
+        let mut want = cost.true_gradient(&params);
+        want.axpy(1.0, &Vector::gaussian(dim, 0.0, 0.3, &mut reference));
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -88,10 +88,23 @@ impl QuadraticCost {
             x.dim(),
             self.optimum.dim()
         );
+        self.gradient_terms(x).collect()
+    }
+
+    /// Adds `∇Q(x)` into `out` in place: `out_i + (x_i − x*_i) · a_i`.
+    /// IEEE addition commutes, so the bits are those of `∇Q(x) + out`.
+    /// The caller checks the dimensions.
+    pub(crate) fn add_gradient(&self, x: &Vector, out: &mut Vector) {
+        for (o, g) in out.iter_mut().zip(self.gradient_terms(x)) {
+            *o += g;
+        }
+    }
+
+    /// The coordinates `(x_i − x*_i) · a_i` of `∇Q(x)`, in order.
+    fn gradient_terms<'a>(&'a self, x: &'a Vector) -> impl Iterator<Item = f64> + 'a {
         x.iter()
             .zip(self.optimum.iter().zip(self.curvature.iter()))
             .map(|(x, (opt, a))| (x - opt) * a)
-            .collect()
     }
 }
 

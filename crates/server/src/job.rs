@@ -12,7 +12,8 @@
 //!    gives each [`Quorum::arrive`] its verdict while [`Quorum::waiting`],
 //! 3. **relays** the honest proposals to the adversary connection once
 //!    [`Quorum::relay_ready`] (the paper's omniscient adversary, made
-//!    explicit as bytes on the wire),
+//!    explicit as bytes on the wire; each proposal is copied once, on
+//!    arrival, and the relay is encoded from those copies in place),
 //! 4. **closes the quorum** through the machine: it holds at most `quorum`
 //!    proposals, at most one per worker (the Byzantine share stays capped
 //!    at `f`), carries the leftovers forward under the `max_staleness`
@@ -307,25 +308,21 @@ fn relay_frame(
     codec: Option<&dyn GradientCodec>,
     version: u16,
 ) -> (Vec<u8>, u64) {
-    let frame = match codec {
+    let relayed = observed.iter().flatten().map(Vec::as_slice);
+    let raw = raw_broadcast_len(params.dim(), relayed.clone().count());
+    let bytes = match codec {
         Some(codec) if version >= 2 => Frame::BroadcastC {
             job: id,
             round: round as u64,
             params: codec.encode_params(params.as_slice()),
-            observed: observed
-                .iter()
-                .filter_map(|o| o.as_ref().map(|v| codec.encode(v, params.as_slice())))
+            observed: relayed
+                .map(|v| codec.encode(v, params.as_slice()))
                 .collect(),
-        },
-        _ => Frame::Broadcast {
-            job: id,
-            round: round as u64,
-            params: params.as_slice().to_vec(),
-            observed: observed.iter().filter_map(Clone::clone).collect(),
-        },
+        }
+        .encode(),
+        _ => Frame::encode_broadcast(id, round as u64, params.as_slice(), relayed),
     };
-    let relayed = observed.iter().filter(|o| o.is_some()).count();
-    (frame.encode(), raw_broadcast_len(params.dim(), relayed))
+    (bytes, raw)
 }
 
 /// Bytes a `Broadcast` frame carrying `observed` relayed proposals costs
@@ -646,13 +643,7 @@ fn serve_round(
     let broadcast_for = |version: u16| match &broadcast_c {
         Some(bytes) if version >= 2 => bytes,
         _ => broadcast.get_or_init(|| {
-            Frame::Broadcast {
-                job: id,
-                round: round as u64,
-                params: params.as_slice().to_vec(),
-                observed: Vec::new(),
-            }
-            .encode()
+            Frame::encode_broadcast(id, round as u64, params.as_slice(), std::iter::empty())
         }),
     };
     let raw_broadcast = Some(raw_broadcast_len(dim, 0));
@@ -728,7 +719,6 @@ fn serve_round(
                         links.send(quorum, c, &ping.encode(), None, "ping")?;
                     }
                 }
-                continue;
             }
             Ok(ConnEvent::Closed { worker, error }) => {
                 let message = error
@@ -739,23 +729,23 @@ fn serve_round(
             Ok(ConnEvent::Rejoined { worker, conn }) => {
                 let w = worker as usize;
                 let version = conn.version;
-                let (Some(slot), Some(heard)) = (links.conns.get_mut(w), last_heard.get_mut(w))
-                else {
-                    continue; // admit() validates; belt and braces
-                };
-                *slot = conn;
-                *heard = Instant::now();
-                reconnects += 1;
-                // A rejoiner that must hear the round again: an honest
-                // worker hears its broadcast, the adversary its relay.
-                let reopen = quorum.rejoined(w);
-                if reopen && w < honest {
-                    let bytes = broadcast_for(version);
-                    links.send(quorum, w, bytes, raw_broadcast, "rejoin broadcast")?;
-                } else if reopen {
-                    let (relay, raw) = relay_frame(id, round, params, &observed, codec, version);
-                    if links.send(quorum, w, &relay, Some(raw), "relay replay")? {
-                        relay_at = Some(Instant::now());
+                // admit() validates the slot; belt and braces.
+                if let (Some(slot), Some(heard)) = (links.conns.get_mut(w), last_heard.get_mut(w)) {
+                    *slot = conn;
+                    *heard = Instant::now();
+                    reconnects += 1;
+                    // A rejoiner that must hear the round again: an honest
+                    // worker hears its broadcast, the adversary its relay.
+                    let reopen = quorum.rejoined(w);
+                    if reopen && w < honest {
+                        let bytes = broadcast_for(version);
+                        links.send(quorum, w, bytes, raw_broadcast, "rejoin broadcast")?;
+                    } else if reopen {
+                        let (relay, raw) =
+                            relay_frame(id, round, params, &observed, codec, version);
+                        if links.send(quorum, w, &relay, Some(raw), "relay replay")? {
+                            relay_at = Some(Instant::now());
+                        }
                     }
                 }
             }
@@ -772,47 +762,47 @@ fn serve_round(
                 if let Some(heard) = last_heard.get_mut(conn_worker as usize) {
                     *heard = Instant::now();
                 }
-                let Some((propose_round, worker, proposal)) =
+                // A pong carries liveness only, noted above.
+                if let Some((propose_round, worker, proposal)) =
                     proposal_in(frame, conn_worker, id, round, cluster, params, codec)?
-                else {
-                    continue; // a pong: liveness, noted above
-                };
-                let relay_copy = observed.get(worker).map(|_| proposal.clone());
-                let arrival = round_open.elapsed().as_nanos();
-                let verdict = quorum.arrive(Proposal {
-                    worker,
-                    issued_round: usize::try_from(propose_round).unwrap_or(usize::MAX),
-                    arrival,
-                    vector: Vector::from(proposal),
-                });
-                match verdict {
-                    Arrival::Joined | Arrival::Deferred if worker < honest => {
-                        propose_nanos = arrival;
-                        if let Some(slot) = observed.get_mut(worker) {
-                            *slot = relay_copy;
+                {
+                    let relay_copy = observed.get(worker).map(|_| proposal.clone());
+                    let arrival = round_open.elapsed().as_nanos();
+                    let verdict = quorum.arrive(Proposal {
+                        worker,
+                        issued_round: usize::try_from(propose_round).unwrap_or(usize::MAX),
+                        arrival,
+                        vector: Vector::from(proposal),
+                    });
+                    match verdict {
+                        Arrival::Joined | Arrival::Deferred if worker < honest => {
+                            propose_nanos = arrival;
+                            if let Some(slot) = observed.get_mut(worker) {
+                                *slot = relay_copy;
+                            }
                         }
-                    }
-                    Arrival::Joined | Arrival::Deferred => {
-                        if let Some(at) = relay_at {
-                            attack_nanos = at.elapsed().as_nanos();
+                        Arrival::Joined | Arrival::Deferred => {
+                            if let Some(at) = relay_at {
+                                attack_nanos = at.elapsed().as_nanos();
+                            }
                         }
-                    }
-                    Arrival::Echo | Arrival::Late => {}
-                    Arrival::Duplicate if worker < honest => {
-                        return Err(ServerError::protocol(format!(
-                            "duplicate proposal from worker {worker} in round {round}"
-                        )))
-                    }
-                    Arrival::Duplicate => {
-                        return Err(ServerError::protocol(format!(
-                            "duplicate Byzantine proposal for slot {worker} in round {round}"
-                        )))
-                    }
-                    Arrival::WrongRound => {
-                        return Err(ServerError::protocol(format!(
-                            "worker {conn_worker} proposed for round {propose_round} \
-                             during round {round}"
-                        )))
+                        Arrival::Echo | Arrival::Late => {}
+                        Arrival::Duplicate if worker < honest => {
+                            return Err(ServerError::protocol(format!(
+                                "duplicate proposal from worker {worker} in round {round}"
+                            )))
+                        }
+                        Arrival::Duplicate => {
+                            return Err(ServerError::protocol(format!(
+                                "duplicate Byzantine proposal for slot {worker} in round {round}"
+                            )))
+                        }
+                        Arrival::WrongRound => {
+                            return Err(ServerError::protocol(format!(
+                                "worker {conn_worker} proposed for round {propose_round} \
+                                 during round {round}"
+                            )))
+                        }
                     }
                 }
             }
@@ -821,8 +811,11 @@ fn serve_round(
         // Omniscient-adversary relay: fires once every honest proposal the
         // round can still produce is in (all of them under barrier
         // semantics — worker order, the same order the in-process engines
-        // hand to `Attack::forge`). Re-checked after crashes too: a death
-        // can be what completes the live set.
+        // hand to `Attack::forge`). Every event reaches this check, a
+        // heartbeat tick included: a death, even one the heartbeat
+        // declares, can be what completes the live set. It stays after the
+        // event rather than at the loop head, so the event that ends
+        // `waiting()` still fires it.
         if quorum.relay_ready() {
             let version = links.version(adversary);
             let (relay, raw) = relay_frame(id, round, params, &observed, codec, version);

@@ -66,8 +66,9 @@ impl Vector {
 
     /// Samples a vector whose coordinates are i.i.d. `N(mean, std^2)`.
     ///
-    /// Draws in bulk through [`Normal::fill`]: the same coordinates, in the
-    /// same order, as `dim` consecutive `Normal::sample` calls.
+    /// Draws in bulk through [`Normal::fill`]: coordinates `2k` and `2k + 1`
+    /// are the two halves of one Box–Muller pair, and the draw consumes
+    /// `2⌈dim/2⌉` keystream words.
     pub fn gaussian<R: Rng + ?Sized>(dim: usize, mean: f64, std: f64, rng: &mut R) -> Self {
         let normal = Normal::new(mean, std).expect("standard deviation must be finite and >= 0");
         let mut data = vec![0.0; dim];

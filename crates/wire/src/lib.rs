@@ -494,7 +494,7 @@ impl Frame {
         match self {
             Self::Hello { .. } => 1,
             Self::JobAssign { .. } => 2,
-            Self::Broadcast { .. } => 3,
+            Self::Broadcast { .. } => BROADCAST_TAG,
             Self::Propose { .. } => 4,
             Self::RoundClosed { .. } => 5,
             Self::Aggregate { .. } => 6,
@@ -544,15 +544,13 @@ impl Frame {
                 round,
                 params,
                 observed,
-            } => {
-                put_u64(out, *job);
-                put_u64(out, *round);
-                put_vec(out, params);
-                put_u32(out, observed.len() as u32);
-                for vector in observed {
-                    put_vec(out, vector);
-                }
-            }
+            } => put_broadcast(
+                out,
+                *job,
+                *round,
+                params,
+                observed.iter().map(Vec::as_slice),
+            ),
             Self::Propose {
                 job,
                 round,
@@ -682,20 +680,24 @@ impl Frame {
     /// in one pass: the payload is written in place behind a length
     /// placeholder that is patched once the payload size is known.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        put_u32(out, 0);
-        self.encode_payload(out);
-        let payload = out.get(start + 4..).unwrap_or_default();
-        // A payload past `u32::MAX` saturates the prefix, which the sender
-        // check in `write_encoded` then rejects as too large.
-        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-        let crc = checksum(payload);
-        if let Some(prefix) = out.get_mut(start..) {
-            for (dst, src) in prefix.iter_mut().zip(len.to_le_bytes()) {
-                *dst = src;
-            }
-        }
-        put_u32(out, crc);
+        frame_into(out, |out| self.encode_payload(out));
+    }
+
+    /// Encodes a raw [`Frame::Broadcast`] from borrowed slices: the bytes of
+    /// the frame whose `params` is `params` and whose `observed` holds the
+    /// `observed` vectors in order, without copying any vector into a
+    /// `Frame`. The `Broadcast` arm of [`Frame::encode`] calls the same
+    /// writer, so the layout has one encoder.
+    pub fn encode_broadcast<'a, I>(job: u64, round: u64, params: &[f64], observed: I) -> Vec<u8>
+    where
+        I: Iterator<Item = &'a [f64]> + Clone,
+    {
+        let mut out = Vec::with_capacity(4 + 1 + broadcast_len(params, observed.clone()) + 4);
+        frame_into(&mut out, |out| {
+            out.push(BROADCAST_TAG);
+            put_broadcast(out, job, round, params, observed);
+        });
+        out
     }
 
     /// Total bytes this frame occupies on the wire, computed from the
@@ -709,7 +711,7 @@ impl Frame {
             Self::JobAssign { spec_json, .. } => 8 + 4 + 8 + blob(spec_json.as_bytes()),
             Self::Broadcast {
                 params, observed, ..
-            } => 8 + 8 + vec(params) + 4 + observed.iter().map(|v| vec(v)).sum::<usize>(),
+            } => broadcast_len(params, observed.iter().map(Vec::as_slice)),
             Self::Propose { proposal, .. } => 8 + 8 + 4 + vec(proposal),
             Self::RoundClosed { .. } => 8 + 8 + 4 + 8,
             Self::Aggregate { params, .. } => 8 + 8 + vec(params),
@@ -1068,6 +1070,52 @@ fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Appends a whole frame to `out`: a length placeholder, the payload
+/// (tag + body) written by `payload`, then the length patched in and the
+/// checksum.
+fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    put_u32(out, 0);
+    payload(out);
+    let payload = out.get(start + 4..).unwrap_or_default();
+    // A payload past `u32::MAX` saturates the prefix, which the sender
+    // check in `write_encoded` then rejects as too large.
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    let crc = checksum(payload);
+    if let Some(prefix) = out.get_mut(start..) {
+        for (dst, src) in prefix.iter_mut().zip(len.to_le_bytes()) {
+            *dst = src;
+        }
+    }
+    put_u32(out, crc);
+}
+
+/// Tag byte of [`Frame::Broadcast`].
+const BROADCAST_TAG: u8 = 3;
+
+/// The body of a [`Frame::Broadcast`] (everything after the tag).
+fn put_broadcast<'a>(
+    out: &mut Vec<u8>,
+    job: u64,
+    round: u64,
+    params: &[f64],
+    observed: impl Iterator<Item = &'a [f64]> + Clone,
+) {
+    put_u64(out, job);
+    put_u64(out, round);
+    put_vec(out, params);
+    put_u32(out, observed.clone().count() as u32);
+    for vector in observed {
+        put_vec(out, vector);
+    }
+}
+
+/// Byte length of a [`Frame::Broadcast`] body.
+fn broadcast_len<'a>(params: &[f64], observed: impl Iterator<Item = &'a [f64]>) -> usize {
+    let vec = |v: &[f64]| 4 + 8 * v.len();
+    8 + 8 + vec(params) + 4 + observed.map(vec).sum::<usize>()
+}
+
 fn put_vec(out: &mut Vec<u8>, v: &[f64]) {
     put_u32(out, v.len() as u32);
     // One resize, then fixed-width stores into 8-byte lanes — no
@@ -1321,6 +1369,28 @@ mod tests {
                 "{} did not round-trip bit-exactly",
                 frame.name()
             );
+        }
+    }
+
+    #[test]
+    fn a_broadcast_from_borrowed_slices_is_the_owned_frame() {
+        let relays = [
+            vec![],
+            vec![vec![0.0, -0.0, f64::NAN], vec![], vec![f64::INFINITY; 3]],
+        ];
+        for observed in relays {
+            let params = vec![1.5, -2.25, f64::MIN_POSITIVE];
+            let bytes = Frame::encode_broadcast(3, 9, &params, observed.iter().map(Vec::as_slice));
+            let frame = Frame::Broadcast {
+                job: 3,
+                round: 9,
+                params,
+                observed,
+            };
+            assert_eq!(bytes, frame.encode());
+            assert_eq!(bytes.len(), bytes.capacity(), "one exact allocation");
+            let (back, _) = read_frame(&mut bytes.as_slice()).unwrap();
+            assert!(bits_equal(&frame, &back));
         }
     }
 

@@ -5,12 +5,15 @@
 //!   the honest majority is clustered;
 //! * Krum is equivariant under translation and permutation-stable up to ties;
 //! * mixing rules (average, median, trimmed mean) stay inside the coordinate
-//!   envelope of their inputs.
+//!   envelope of their inputs;
+//! * exact score ties break towards the smallest index (the paper's
+//!   footnote 3), for Krum's choice and Multi-Krum's selection order alike.
 
 use krum::aggregation::{
     Aggregator, Average, ClosestToBarycenter, CoordinateWiseMedian, Krum, MultiKrum, TrimmedMean,
 };
 use krum::tensor::Vector;
+use krum_core::naive;
 use proptest::prelude::*;
 
 /// Strategy: a cluster of `honest` vectors near a random centre plus `byz`
@@ -45,8 +48,60 @@ fn clustered_proposals(
     })
 }
 
+/// Strategy: `distinct` vectors of small integer coordinates, each proposed
+/// twice, plus `extra` further copies of them, in a random order. Every
+/// vector has a twin, so the best Krum score is always shared by at least
+/// two indices, and integer coordinates keep every squared distance and
+/// score exact in `f64`: a tie is an exact tie on every path.
+fn tied_proposals(distinct: usize, extra: usize, dim: usize) -> impl Strategy<Value = Vec<Vector>> {
+    let n = 2 * distinct + extra;
+    let pool = prop::collection::vec(prop::collection::vec(-3i32..=3, dim), distinct);
+    let extras = prop::collection::vec(0..distinct, extra);
+    let order = prop::collection::vec(0u64..u64::MAX, n);
+    (pool, extras, order).prop_map(move |(pool, extras, order)| {
+        let mut slots: Vec<(u64, usize)> = (0..distinct)
+            .flat_map(|k| [k, k])
+            .chain(extras)
+            .zip(order)
+            .map(|(k, key)| (key, k))
+            .collect();
+        slots.sort_unstable();
+        slots
+            .into_iter()
+            .map(|(_, k)| Vector::from(pool[k].iter().map(|&x| f64::from(x)).collect::<Vec<_>>()))
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn krum_breaks_exact_ties_towards_the_smallest_index(proposals in tied_proposals(4, 3, 3)) {
+        let n = proposals.len();
+        let f = 3;
+        let scores = naive::krum_scores(&proposals, n - f - 2);
+        let krum = Krum::new(n, f).unwrap();
+        prop_assert_eq!(krum.scores(&proposals).unwrap(), scores.clone());
+        let best = scores.iter().copied().fold(f64::INFINITY, f64::min);
+        let tied: Vec<usize> = (0..n).filter(|&i| scores[i] == best).collect();
+        prop_assert!(tied.len() >= 2, "the best vector's twin shares its score");
+        let got = krum.aggregate_detailed(&proposals).unwrap().selected_index().unwrap();
+        prop_assert_eq!(got, tied[0]);
+        prop_assert_eq!(got, naive::krum_choose(&proposals, f));
+    }
+
+    #[test]
+    fn multi_krum_orders_exact_ties_by_index(proposals in tied_proposals(4, 3, 3), m in 1usize..=8) {
+        let n = proposals.len();
+        let f = 3;
+        let scores = naive::krum_scores(&proposals, n - f - 2);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        order.truncate(m);
+        let selected = MultiKrum::new(n, f, m).unwrap().aggregate_detailed(&proposals).unwrap().selected;
+        prop_assert_eq!(selected, order);
+    }
 
     #[test]
     fn krum_selects_one_of_the_inputs((proposals, honest) in clustered_proposals(8, 3, 6)) {

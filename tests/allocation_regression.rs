@@ -296,10 +296,10 @@ fn default_policy_aggregation_is_allocation_free_at_benchmark_shapes() {
 /// A warm engine round of the benchmark's reference scenario (n = 40,
 /// f = 4, d = 1000, Krum against `sign-flip:scale=3`, σ = 0.2, sequential
 /// engine, default aggregation policy) makes exactly this many allocations:
-/// 2 per honest estimate (the gradient and its noise, 72 in all) and 7
-/// elsewhere in the round. Aggregation contributes none. ROADMAP item 3 (an
-/// allocation-free engine round) lowers this pin.
-const E10_ROUND_ALLOCATIONS: u64 = 79;
+/// 1 per honest estimate (the noise vector the gradient is added into, 36
+/// in all) and 7 elsewhere in the round. Aggregation contributes none.
+/// ROADMAP item 3 (an allocation-free engine round) lowers this pin.
+const E10_ROUND_ALLOCATIONS: u64 = 43;
 
 #[test]
 fn warm_engine_round_makes_the_pinned_allocation_count() {
@@ -364,8 +364,8 @@ fn bulk_sampling_is_allocation_free() {
     assert!(samples.iter().all(|x| x.is_finite()));
 }
 
-/// One Gaussian estimate `∇Q(x) + ξ` allocates exactly twice: the one-pass
-/// gradient and the noise vector that is added into it.
+/// One Gaussian estimate `∇Q(x) + ξ` allocates exactly once: the gradient
+/// and its noise share one vector, ξ drawn into it and ∇Q(x) added in place.
 #[test]
 fn gaussian_estimate_allocates_its_gradient_and_its_noise() {
     let dim = 1000;
@@ -384,7 +384,7 @@ fn gaussian_estimate_allocates_its_gradient_and_its_noise() {
     let after = allocations();
     assert_eq!(
         after - before,
-        2 * calls,
+        calls,
         "{calls} estimates allocated {} times",
         after - before
     );

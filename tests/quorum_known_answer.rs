@@ -12,7 +12,8 @@
 //! drift columns).
 //!
 //! The constants are the contract: a refactor of the quorum machine must
-//! reproduce every one of them.
+//! reproduce every one of them. They are those of the paired Box–Muller
+//! `Normal::fill` (two samples per word pair).
 
 use krum::aggregation::RuleSpec;
 use krum::attacks::{AttackSpec, DriftTarget};
@@ -131,22 +132,22 @@ fn cells() -> Vec<Cell> {
         Cell {
             name: "n11 sign-flip q9 s2",
             scenario: q(11, 2, SIGN_FLIP, 9, 2),
-            expected: (0x6bf6_eb23_4ef0_5d83, 0x7cf5_ef15_83b4_cad8),
+            expected: (0xa4b7_99d4_0a0c_2818, 0x8e1d_23a9_0ccd_b077),
         },
         Cell {
             name: "n11 sign-flip q9 s0",
             scenario: q(11, 2, SIGN_FLIP, 9, 0),
-            expected: (0xa60a_01d4_b1e8_72be, 0x26db_5975_30e6_5b07),
+            expected: (0x1400_2432_e84e_f0a5, 0x865a_5c29_0d1e_d905),
         },
         Cell {
             name: "n11 straggler q9 s2",
             scenario: q(11, 2, STRAGGLER, 9, 2),
-            expected: (0xa128_6b66_e5a9_8266, 0xce2e_ed76_ec7b_0d94),
+            expected: (0x1333_92ba_24b0_3283, 0x7b1a_e036_3df3_dc0a),
         },
         Cell {
             name: "n11 last-to-respond q9 s3",
             scenario: q(11, 2, LAST, 9, 3),
-            expected: (0xbca0_446d_2896_3a8c, 0xa786_964f_d506_b728),
+            expected: (0x207d_1ad9_2151_d745, 0x2d5d_8d7c_6db2_d774),
         },
         Cell {
             name: "n11 reputation-weighted vs inlier-drift q9 s2",
@@ -161,37 +162,37 @@ fn cells() -> Vec<Cell> {
                 2,
             )
             .rule(RuleSpec::ReputationWeighted { eta: 0.3 }),
-            expected: (0x80d0_2623_d13c_46a8, 0xd2cc_b7df_f513_9dc9),
+            expected: (0x348c_dfdf_c7d3_c92e, 0x3582_99ff_6007_4daf),
         },
         Cell {
             name: "n9 last-to-respond q7 s2",
             scenario: q(9, 2, LAST, 7, 2),
-            expected: (0x5365_207c_9754_2f76, 0x977f_fe0d_f472_831f),
+            expected: (0x16e0_35f2_865a_b62c, 0xeea1_b30f_7a82_5618),
         },
         Cell {
             name: "n9 last-to-respond q7 s4",
             scenario: q(9, 2, LAST, 7, 4),
-            expected: (0x8fbc_e04e_b404_36bb, 0xf206_5f69_5f56_bf59),
+            expected: (0x1269_543d_d498_d8ef, 0x55c4_7a70_feb4_7ba1),
         },
         Cell {
             name: "n9 straggler q7 s4",
             scenario: q(9, 2, STRAGGLER, 7, 4),
-            expected: (0x4b1c_85cb_6a2d_1c01, 0xc424_e3b4_2fc8_6b96),
+            expected: (0x90a0_0b82_5e61_cdab, 0xca55_de11_b28c_4074),
         },
         Cell {
             name: "n9 reuse sign-flip q4 s3",
             scenario: reuse(SIGN_FLIP, 4, 3),
-            expected: (0x5128_e205_7065_9384, 0x9b72_6e51_ac60_0088),
+            expected: (0x34d3_f2c0_c3d4_672f, 0xec33_5252_56c7_eb4c),
         },
         Cell {
             name: "n9 reuse last-to-respond q4 s2",
             scenario: reuse(LAST, 4, 2),
-            expected: (0x132e_efb4_d8cd_7961, 0xd9bc_33a0_4e07_6143),
+            expected: (0xf76e_2374_5ab1_ff21, 0x73d2_a83b_881e_187e),
         },
         Cell {
             name: "n7 median vs last-to-respond q5 s6",
             scenario: q(7, 2, LAST, 5, 6).rule(RuleSpec::Median),
-            expected: (0x6cac_d597_9954_f284, 0xb7aa_a229_70c3_abad),
+            expected: (0xd8c0_a798_e7cd_a0d7, 0xfb06_5b32_8362_7b4d),
         },
     ]
 }

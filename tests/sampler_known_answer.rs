@@ -9,7 +9,9 @@
 //!
 //! The constants are the contract: a faster keystream or Gaussian draw must
 //! reproduce every one of them, since changing any would change every
-//! seed's trajectory.
+//! seed's trajectory. The Gaussian and trajectory constants are those of the
+//! paired Box–Muller `Normal::fill` (two samples per word pair); the
+//! keystream words did not move with it.
 
 use krum::aggregation::RuleSpec;
 use krum::attacks::AttackSpec;
@@ -60,12 +62,30 @@ fn keystream_words_are_pinned() {
 fn gaussian_samples_are_pinned() {
     let v = Vector::gaussian(1000, 0.0, 0.2, &mut stream_rng(31, 1));
     let s = v.as_slice();
-    assert_eq!(digest(s), 0x21b1_2eb4_d4f1_8eca);
+    assert_eq!(digest(s), 0x42e9_08fc_34bd_2f97);
     // Elements on both sides of a 64-sample boundary and the last one.
     assert_eq!(s[0].to_bits(), 0xbf8f_7f30_9db7_0ed8);
-    assert_eq!(s[63].to_bits(), 0xbfc5_8bf8_5960_a0b7);
-    assert_eq!(s[64].to_bits(), 0xbfb2_f716_70eb_c544);
-    assert_eq!(s[999].to_bits(), 0xbfba_8193_bfe1_1f6b);
+    assert_eq!(s[63].to_bits(), 0x3fbf_da09_7d19_b233);
+    assert_eq!(s[64].to_bits(), 0x3fc6_5777_9e3a_3ff6);
+    assert_eq!(s[999].to_bits(), 0x3fad_8c20_b374_9808);
+}
+
+#[test]
+fn an_odd_length_gaussian_is_pinned() {
+    // d = 1001 on the stream of the d = 1000 pin: the same 1000 samples,
+    // then the cosine half of pair 500 with its sine dropped, so the draw
+    // consumes 1002 words.
+    let mut rng = stream_rng(31, 1);
+    let v = Vector::gaussian(1001, 0.0, 0.2, &mut rng);
+    let s = v.as_slice();
+    assert_eq!(digest(s), 0xad46_78ab_7908_e6e6);
+    assert_eq!(digest(&s[..1000]), 0x42e9_08fc_34bd_2f97);
+    assert_eq!(s[1000].to_bits(), 0xbfaf_82e9_2aa4_98f6);
+    let mut words = stream_rng(31, 1);
+    for _ in 0..1002 {
+        words.next_u64();
+    }
+    assert_eq!(rng.next_u64(), words.next_u64(), "1002 words consumed");
 }
 
 #[test]
@@ -86,8 +106,8 @@ fn reference_trajectory_is_pinned() {
         .unwrap();
     assert_eq!(
         digest(report.final_params.as_slice()),
-        0x7453_6263_fde3_ff2f
+        0xef4c_e9e7_a32d_ccee
     );
     let last = report.history.rounds.last().unwrap();
-    assert_eq!(last.loss.unwrap().to_bits(), 0x401f_eafd_d850_2734);
+    assert_eq!(last.loss.unwrap().to_bits(), 0x401f_e5d0_0063_1fb7);
 }
