@@ -31,6 +31,8 @@
 //! vector would destroy the model, so params ride raw under `topk`);
 //! delta delegates to its inner codec.
 
+#![forbid(unsafe_code)]
+
 mod bfp;
 mod buf;
 mod delta;
