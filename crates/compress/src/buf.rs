@@ -1,4 +1,4 @@
-//! Bounds-checked little-endian byte and bit readers/writers shared by the
+//! Bounds-checked little-endian byte reader and writer shared by the
 //! codecs. Everything is explicit-width LE, matching the krum-wire
 //! conventions, and every read validates against the remaining bytes
 //! before touching them — a corrupt payload is a [`CodecError`], never a
@@ -83,8 +83,13 @@ impl<'b> Reader<'b> {
         ])))
     }
 
-    pub fn raw(&mut self, len: usize) -> Result<&'b [u8], CodecError> {
-        self.take(len)
+    /// Reads a `len`-byte field and returns it together with every byte
+    /// after it, so a caller may load whole words that run past the
+    /// field's end.
+    pub fn raw_ahead(&mut self, len: usize) -> Result<&'b [u8], CodecError> {
+        let start = self.offset;
+        self.take(len)?;
+        Ok(&self.bytes[start..])
     }
 
     /// Rejects trailing bytes — a canonical payload is consumed exactly.
@@ -96,83 +101,6 @@ impl<'b> Reader<'b> {
             )));
         }
         Ok(())
-    }
-}
-
-/// Little-endian bit-stream writer for packed mantissas: values are
-/// appended least-significant-bit first, flushed byte by byte.
-pub(crate) struct BitWriter {
-    out: Vec<u8>,
-    acc: u64,
-    nbits: u32,
-}
-
-impl BitWriter {
-    pub fn with_capacity(bytes: usize) -> Self {
-        Self {
-            out: Vec::with_capacity(bytes),
-            acc: 0,
-            nbits: 0,
-        }
-    }
-
-    /// Appends the low `bits` bits of `value` (`bits <= 32`).
-    pub fn push(&mut self, value: u32, bits: u32) {
-        debug_assert!(bits <= 32 && (bits == 32 || u64::from(value) < (1u64 << bits)));
-        self.acc |= u64::from(value) << self.nbits;
-        self.nbits += bits;
-        while self.nbits >= 8 {
-            self.out.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
-        }
-    }
-
-    /// Flushes the partial trailing byte (zero-padded) and returns the
-    /// packed buffer.
-    pub fn finish(mut self) -> Vec<u8> {
-        if self.nbits > 0 {
-            self.out.push(self.acc as u8);
-        }
-        self.out
-    }
-}
-
-/// Little-endian bit-stream reader over a fixed byte slice.
-pub(crate) struct BitReader<'b> {
-    bytes: &'b [u8],
-    byte: usize,
-    acc: u64,
-    nbits: u32,
-}
-
-impl<'b> BitReader<'b> {
-    pub fn new(bytes: &'b [u8]) -> Self {
-        Self {
-            bytes,
-            byte: 0,
-            acc: 0,
-            nbits: 0,
-        }
-    }
-
-    /// Reads `bits` bits (`bits <= 32`); the caller sized the slice, so
-    /// running dry is a malformed-payload error.
-    pub fn pull(&mut self, bits: u32) -> Result<u32, CodecError> {
-        while self.nbits < bits {
-            let Some(&b) = self.bytes.get(self.byte) else {
-                return Err(CodecError::malformed(
-                    "bit-packed mantissa block ran out of bytes",
-                ));
-            };
-            self.acc |= u64::from(b) << self.nbits;
-            self.nbits += 8;
-            self.byte += 1;
-        }
-        let value = (self.acc & ((1u64 << bits) - 1)) as u32;
-        self.acc >>= bits;
-        self.nbits -= bits;
-        Ok(value)
     }
 }
 

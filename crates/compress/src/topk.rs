@@ -44,15 +44,23 @@ impl TopK {
 
     /// The indices of the `min(k, dim)` largest-magnitude coordinates, in
     /// increasing index order (the canonical payload order).
+    ///
+    /// The ranking is a strict total order (descending `|v|` under
+    /// `total_cmp`, then ascending index), so the `k` first indices are one
+    /// set however they are found: a linear-time partition finds them, and
+    /// only the kept `k` are sorted.
     fn select(&self, x: &[f64]) -> Vec<u32> {
         let mut indices: Vec<u32> = (0..x.len() as u32).collect();
-        indices.sort_by(|&a, &b| {
-            x[b as usize]
-                .abs()
-                .total_cmp(&x[a as usize].abs())
-                .then(a.cmp(&b))
-        });
-        indices.truncate(self.k.min(x.len()));
+        let k = self.k.min(x.len());
+        if k < indices.len() {
+            indices.select_nth_unstable_by(k, |&a, &b| {
+                x[b as usize]
+                    .abs()
+                    .total_cmp(&x[a as usize].abs())
+                    .then(a.cmp(&b))
+            });
+            indices.truncate(k);
+        }
         indices.sort_unstable();
         indices
     }
@@ -139,6 +147,74 @@ impl GradientCodec for TopK {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The oracle `select` is tested against: rank every index by the same
+    /// order with a full sort, keep the first `k`, sort them.
+    fn select_by_full_sort(k: usize, x: &[f64]) -> Vec<u32> {
+        let mut indices: Vec<u32> = (0..x.len() as u32).collect();
+        indices.sort_by(|&a, &b| {
+            x[b as usize]
+                .abs()
+                .total_cmp(&x[a as usize].abs())
+                .then(a.cmp(&b))
+        });
+        indices.truncate(k.min(x.len()));
+        indices.sort_unstable();
+        indices
+    }
+
+    /// The partition keeps the full sort's set, and so its payload: vectors
+    /// drawn from a small palette (so magnitudes tie often) of ±0, NaNs of
+    /// both signs, ±∞ and ± pairs of finite values, for every `k` from 1 to
+    /// past the dimension.
+    #[test]
+    fn selection_matches_the_full_sort() {
+        let palette = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            -1.0,
+            2.5,
+            -2.5,
+            1e-310,
+            -1e-310,
+            7.0,
+        ];
+        let mut state = 0x853C_49E6_748F_EA9Bu64;
+        for dim in [0, 1, 2, 3, 7, 13, 64, 257] {
+            for trial in 0..4 {
+                let x: Vec<f64> = (0..dim)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        // Trial 0 draws from the first two entries only: all ±0.
+                        let choices = if trial == 0 { 2 } else { palette.len() };
+                        palette[(state >> 33) as usize % choices]
+                    })
+                    .collect();
+                for k in (1..=dim + 2).chain([1000]) {
+                    let codec = TopK::new(k);
+                    let expected = select_by_full_sort(k, &x);
+                    assert_eq!(
+                        codec.select(&x),
+                        expected,
+                        "dim {dim}, trial {trial}, k {k}"
+                    );
+                    let payload = codec.encode(&x, &[]);
+                    assert_eq!(payload.len(), 8 + 12 * expected.len());
+                    for (slot, idx) in payload[8..].chunks(12).zip(&expected) {
+                        assert_eq!(slot[..4], idx.to_le_bytes(), "dim {dim}, k {k}");
+                        assert_eq!(slot[4..], x[*idx as usize].to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn keeps_the_k_largest_magnitudes() {

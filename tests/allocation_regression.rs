@@ -13,7 +13,8 @@
 //!
 //! The sampling path is pinned the same way: a warm `ChaCha8Rng::fill_bytes`
 //! and `Normal::fill` allocate nothing, and one Gaussian gradient estimate
-//! allocates exactly its gradient and its noise vector.
+//! allocates exactly its gradient and its noise vector. The BFP codec's
+//! encode allocates only its payload, and its decode only its output.
 //!
 //! The counter is thread-local so each test stays meaningful even if the
 //! harness runs other tests concurrently in the same process.
@@ -30,6 +31,7 @@ use krum::dist::LearningRateSchedule;
 use krum::models::{EstimatorSpec, GaussianEstimator, GradientEstimator, QuadraticCost};
 use krum::scenario::{ExecutionSpec, Scenario, ScenarioBuilder};
 use krum::tensor::Vector;
+use krum_compress::CompressionSpec;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rand_distr::Normal;
@@ -388,4 +390,29 @@ fn gaussian_estimate_allocates_its_gradient_and_its_noise() {
         "{calls} estimates allocated {} times",
         after - before
     );
+}
+
+/// A d = 1000 `bfp:block=64,bits=12` proposal: the encode packs every block
+/// straight into the payload, its one allocation, and the decode writes
+/// into its output, its one allocation.
+#[test]
+fn bfp_encode_and_decode_allocate_only_their_result() {
+    let dim = 1000;
+    let codec = CompressionSpec::Bfp {
+        block: 64,
+        bits: 12,
+    }
+    .build();
+    let x = proposals(1, dim).remove(0);
+
+    let before = allocations();
+    let payload = codec.encode(x.as_slice(), &[]);
+    let spent = allocations() - before;
+    assert_eq!(spent, 1, "a d = {dim} encode allocated {spent} times");
+
+    let before = allocations();
+    let decoded = codec.decode(&payload, &[], dim).unwrap();
+    let spent = allocations() - before;
+    assert_eq!(spent, 1, "a d = {dim} decode allocated {spent} times");
+    assert_eq!(decoded.len(), dim);
 }
