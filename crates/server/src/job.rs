@@ -22,7 +22,14 @@
 //! 5. hands the quorum to the shared [`RoundCore`] for
 //!    aggregate → step → record — the same code path the in-process
 //!    engines run, which is why a loopback barrier run reproduces
-//!    [`Scenario::run`](krum_scenario::Scenario) bit-for-bit.
+//!    [`Scenario::run`](krum_scenario::Scenario) bit-for-bit, and
+//! 6. **closes the round** towards every live connection. The
+//!    [`Frame::RoundClosed`] is informational — no worker waits on it — so
+//!    it is queued on the connection and delivered in front of that
+//!    connection's next frame (the next broadcast or relay, the final
+//!    `Aggregate`, a `Shutdown`) in the same vectored write: a worker wakes
+//!    once per round, and every connection still sees the frames in the
+//!    same order. The queued frame counts towards the round that closed.
 //!
 //! The driver keeps the sockets, heartbeats, framing, slot authority and
 //! byte accounting; the protocol decisions are the machine's.
@@ -74,7 +81,7 @@ use krum_scenario::{
     CrashPolicy, ExecutionSpec, InitSpec, RemoteTimeouts, ScenarioReport, ScenarioSpec,
 };
 use krum_tensor::Vector;
-use krum_wire::{write_encoded, write_frame, CarryOver, Frame, SelectedWorker, WireError};
+use krum_wire::{write_encoded_pair, CarryOver, Frame, SelectedWorker, WireError};
 
 use crate::checkpoint::{self, CheckpointConfig, ResumeState};
 use crate::error::ServerError;
@@ -128,6 +135,29 @@ pub(crate) struct JobConnection {
     /// frames — the version fallback — while v2 peers hear the
     /// compressed framing.
     pub version: u16,
+    /// Encoded frames nothing waits on (the round's `RoundClosed`), sent
+    /// in front of the connection's next frame.
+    pending: Vec<u8>,
+}
+
+impl JobConnection {
+    /// A connection with nothing queued.
+    pub fn new(stream: TcpStream, version: u16) -> Self {
+        Self {
+            stream,
+            version,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Writes the queued frames and then `frame` in one vectored write.
+    /// The queue is empty afterwards even when the write fails: part of it
+    /// may be on the wire, and the connection is a crash fault anyway.
+    pub fn write(&mut self, frame: &[u8]) -> Result<(), WireError> {
+        let written = write_encoded_pair(&mut self.stream, &self.pending, frame);
+        self.pending.clear();
+        written.map(drop)
+    }
 }
 
 /// Everything the serving layer decided about *how* to run a job, as
@@ -202,7 +232,9 @@ pub(crate) fn run_job(
         Err(e @ ServerError::Halted { .. }) => {
             // Scripted kill: no goodbye. The workers discover the death as
             // a dropped connection and retry their rejoin handshake against
-            // whatever comes back up (the resumed server).
+            // whatever comes back up (the resumed server). The last
+            // round's queued `RoundClosed` dies with the sockets, as it
+            // would under `kill -9`.
             for conn in conns.iter_mut() {
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
@@ -218,14 +250,13 @@ pub(crate) fn run_job(
 /// Best-effort `Shutdown` to every connection (failures are moot: the
 /// session is over either way).
 fn shutdown_all(id: u64, conns: &mut [JobConnection], reason: &str) {
+    let shutdown = Frame::Shutdown {
+        job: id,
+        reason: reason.to_string(),
+    }
+    .encode();
     for conn in conns.iter_mut() {
-        let _ = write_frame(
-            &mut conn.stream,
-            &Frame::Shutdown {
-                job: id,
-                reason: reason.to_string(),
-            },
-        );
+        let _ = conn.write(&shutdown);
     }
 }
 
@@ -246,9 +277,10 @@ impl Links<'_> {
         self.conns.get(c).map_or(0, |conn| conn.version)
     }
 
-    /// Writes the encoded frame `bytes` to connection `c` and counts it,
-    /// at `raw` bytes uncompressed (`None`: its own size). A failed write
-    /// is a crash fault of `c`. Returns whether the frame went out.
+    /// Writes the encoded frame `bytes` to connection `c`, behind the
+    /// frames queued there, and counts it at `raw` bytes uncompressed
+    /// (`None`: its own size). A failed write is a crash fault of `c`.
+    /// Returns whether the frame went out.
     fn send(
         &mut self,
         quorum: &mut Quorum,
@@ -260,10 +292,11 @@ impl Links<'_> {
         let Some(conn) = self.conns.get_mut(c) else {
             return Ok(false);
         };
-        match write_encoded(&mut conn.stream, bytes) {
-            Ok(b) => {
-                self.wire_bytes += b as u64;
-                self.raw_bytes += raw.unwrap_or(b as u64);
+        match conn.write(bytes) {
+            Ok(()) => {
+                let b = bytes.len() as u64;
+                self.wire_bytes += b;
+                self.raw_bytes += raw.unwrap_or(b);
                 Ok(true)
             }
             Err(e) => {
@@ -273,10 +306,21 @@ impl Links<'_> {
         }
     }
 
+    /// Queues the encoded frame `bytes` on connection `c`, to go out in
+    /// front of its next frame, and counts it in this round's bytes now.
+    fn queue(&mut self, c: usize, bytes: &[u8]) {
+        if let Some(conn) = self.conns.get_mut(c) {
+            conn.pending.extend_from_slice(bytes);
+            self.wire_bytes += bytes.len() as u64;
+            self.raw_bytes += bytes.len() as u64;
+        }
+    }
+
     /// Declares a crash fault on connection `c`: fatal under fail-fast;
-    /// under a crash policy the machine marks the slot dead and the socket
-    /// is closed, so a peer alive behind a one-way fault sees EOF and
-    /// starts its rejoin loop instead of waiting forever.
+    /// under a crash policy the machine marks the slot dead, its queued
+    /// frames are dropped and the socket is closed, so a peer alive behind
+    /// a one-way fault sees EOF and starts its rejoin loop instead of
+    /// waiting forever.
     fn crash(&mut self, quorum: &mut Quorum, c: usize, message: &str) -> Result<(), ServerError> {
         if quorum.lost(c) {
             return Err(ServerError::WorkerLost {
@@ -286,6 +330,7 @@ impl Links<'_> {
             });
         }
         if let Some(conn) = self.conns.get_mut(c) {
+            conn.pending.clear();
             let _ = conn.stream.shutdown(Shutdown::Both);
         }
         Ok(())
@@ -564,9 +609,10 @@ fn drive_job(
     }
     let wall_nanos = wall_before + wall_start.elapsed().as_nanos();
 
-    // Final frames: the trained model, then the goodbye (sent by the
-    // caller's shutdown pass). A slot dead under a crash policy hears
-    // neither — if it rejoins now, the server tells it the job is over.
+    // Final frames: the trained model behind the last round's close, then
+    // the goodbye (sent by the caller's shutdown pass). A slot dead under a
+    // crash policy hears neither — if it rejoins now, the server tells it
+    // the job is over.
     let aggregate = Frame::Aggregate {
         job: id,
         round: spec.rounds as u64,
@@ -575,7 +621,7 @@ fn drive_job(
     .encode();
     for (c, conn) in conns.iter_mut().enumerate() {
         if quorum.is_live(c) {
-            if let Err(e) = write_encoded(&mut conn.stream, &aggregate) {
+            if let Err(e) = conn.write(&aggregate) {
                 if runtime.on_crash.is_none() {
                     return Err(e.into());
                 }
@@ -887,7 +933,9 @@ fn serve_round(
     }
 
     // Close the round towards the live workers (a dead one hears the next
-    // broadcast after it rejoins).
+    // broadcast after it rejoins). Nothing waits on the close, so it rides
+    // in front of each connection's next frame instead of waking the
+    // worker on its own.
     let closed = Frame::RoundClosed {
         job: id,
         round: round as u64,
@@ -897,7 +945,7 @@ fn serve_round(
     .encode();
     for c in 0..links.conns.len() {
         if quorum.is_live(c) {
-            links.send(quorum, c, &closed, None, "round-close")?;
+            links.queue(c, &closed);
         }
     }
     record.wire_bytes = Some(links.wire_bytes);

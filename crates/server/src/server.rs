@@ -293,14 +293,13 @@ impl Server {
             if !staffing_expired && Instant::now() >= staffing_deadline {
                 staffing_expired = true;
                 for slot in self.jobs.iter_mut().filter(|j| j.handle.is_none()) {
+                    let goodbye = Frame::Shutdown {
+                        job: slot.id,
+                        reason: "staffing timed out: the roster never filled".into(),
+                    }
+                    .encode();
                     for conn in slot.conns.iter_mut().flatten() {
-                        let _ = write_frame(
-                            &mut conn.stream,
-                            &Frame::Shutdown {
-                                job: slot.id,
-                                reason: "staffing timed out: the roster never filled".into(),
-                            },
-                        );
+                        let _ = conn.write(&goodbye);
                     }
                     slot.conns.iter_mut().for_each(|c| *c = None);
                 }
@@ -471,10 +470,7 @@ fn assign(
     // when the job drops its receiver), so a hung foreign client can
     // never wedge the serve loop on a join.
     std::thread::spawn(move || reader_loop(stream, worker, sender));
-    Ok(JobConnection {
-        stream: write_half,
-        version,
-    })
+    Ok(JobConnection::new(write_half, version))
 }
 
 /// The version-mismatch goodbye.

@@ -137,3 +137,95 @@ fn job_specs_expose_the_seed_derivation() {
     assert_eq!(specs[2].name, "wire-protocol#2");
     assert_eq!(specs[2].seed, 13);
 }
+
+/// What a hand-rolled client records of one frame: its name, and the round
+/// for the frames that belong to one.
+fn label(frame: &Frame) -> String {
+    match frame {
+        Frame::Broadcast { round, .. } | Frame::RoundClosed { round, .. } => {
+            format!("{}({round})", frame.name())
+        }
+        other => other.name().to_string(),
+    }
+}
+
+/// Every connection sees its frames in protocol order: the assignment,
+/// then each round's broadcast followed by that round's close, then the
+/// final model and the goodbye. A hand-rolled honest client staffs slot 0
+/// of an n = 5, f = 1 job (real workers fill the rest, adversary included)
+/// and records every frame it receives.
+#[test]
+fn an_honest_connection_sees_every_frame_in_protocol_order() {
+    let mut order_spec = spec();
+    order_spec.cluster = ClusterSpec::new(5, 1).unwrap();
+    order_spec.rule = RuleSpec::Krum;
+    order_spec.attack = AttackSpec::SignFlip { scale: 3.0 };
+    let server = Server::bind("127.0.0.1:0", order_spec, 1).unwrap();
+    let addr = server.local_addr().unwrap();
+    assert_eq!(server.connections_per_job(), 5);
+    let server_thread = std::thread::spawn(move || server.run());
+
+    // The recorder handshakes before any real worker connects, so it
+    // takes the first free slot: honest worker 0.
+    let mut client = TcpStream::connect(addr).unwrap();
+    write_frame(
+        &mut client,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            agent: "frame-recorder".into(),
+        },
+    )
+    .unwrap();
+    let (assign, _) = read_frame(&mut client).unwrap();
+    let Frame::JobAssign { job, worker, .. } = assign else {
+        panic!("expected JobAssign, got {assign:?}");
+    };
+    assert_eq!(worker, 0);
+    let mut seen = vec![label(&assign)];
+    let workers: Vec<_> = (0..4)
+        .map(|_| std::thread::spawn(move || run_worker(addr)))
+        .collect();
+
+    loop {
+        let (frame, _) = read_frame(&mut client).unwrap();
+        match &frame {
+            Frame::Broadcast { round, params, .. } => write_frame(
+                &mut client,
+                &Frame::Propose {
+                    job,
+                    round: *round,
+                    worker,
+                    proposal: params.clone(),
+                },
+            )
+            .map(drop)
+            .unwrap(),
+            // A heartbeat is answered, not part of the protocol order.
+            Frame::Ping { nonce, .. } => {
+                write_frame(&mut client, &Frame::Pong { job, nonce: *nonce }).unwrap();
+                continue;
+            }
+            _ => {}
+        }
+        seen.push(label(&frame));
+        if matches!(frame, Frame::Shutdown { .. }) {
+            break;
+        }
+    }
+    let expected: Vec<String> = ["job-assign"]
+        .into_iter()
+        .map(String::from)
+        .chain((0..3).flat_map(|t| [format!("broadcast({t})"), format!("round-closed({t})")]))
+        .chain(["aggregate".into(), "shutdown".into()])
+        .collect();
+    assert_eq!(seen, expected);
+
+    let outcome = server_thread.join().unwrap().unwrap().pop().unwrap();
+    assert_eq!(outcome.result.unwrap().history.len(), 3);
+    for handle in workers {
+        assert_eq!(
+            handle.join().unwrap().unwrap().shutdown_reason,
+            "job complete"
+        );
+    }
+}

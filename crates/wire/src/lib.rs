@@ -53,7 +53,7 @@
 // or expect (tests may — see `allow-unwrap-in-tests` in clippy.toml).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use thiserror::Error;
 
@@ -420,7 +420,7 @@ fn checksum_bytewise(bytes: &[u8]) -> u32 {
 /// | [`JobAssign`](Frame::JobAssign) | server → worker | job id, worker slot, seed and scenario |
 /// | [`Broadcast`](Frame::Broadcast) | server → worker | round parameters `x_t` (plus the observation relay for the adversary) |
 /// | [`Propose`](Frame::Propose) | worker → server | one gradient proposal |
-/// | [`RoundClosed`](Frame::RoundClosed) | server → worker | the round's quorum closed |
+/// | [`RoundClosed`](Frame::RoundClosed) | server → worker | informational: the round's quorum closed; delivered in front of the connection's next frame, so a worker wakes once per round |
 /// | [`Aggregate`](Frame::Aggregate) | server → worker | final parameters of a finished job |
 /// | [`Shutdown`](Frame::Shutdown) | server → worker | end of session, with a reason |
 /// | [`Ping`](Frame::Ping) | server → worker | liveness probe for a silent worker |
@@ -481,6 +481,8 @@ pub enum Frame {
         proposal: Vec<f64>,
     },
     /// The round's quorum closed; stats for the worker's bookkeeping.
+    /// Informational — nothing waits on it — so the server sends it in
+    /// front of the connection's next frame rather than on its own.
     RoundClosed {
         /// Job identifier.
         job: u64,
@@ -1109,8 +1111,58 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError
 /// [`MAX_FRAME_BYTES`] (nothing is written), or [`WireError::Io`] when the
 /// transport fails.
 pub fn write_encoded(w: &mut impl Write, bytes: &[u8]) -> Result<usize, WireError> {
-    // Walk the length prefixes: every frame is checked before any byte
-    // reaches the wire.
+    check_lengths(bytes)?;
+    w.write_all(bytes)?;
+    w.flush()?;
+    Ok(bytes.len())
+}
+
+/// [`write_encoded`] of `head` and then `tail` as one vectored write: two
+/// runs of already-encoded frames leave together without being copied into
+/// one buffer. The server queues frames nothing waits on and sends them in
+/// front of a connection's next frame this way, so the peer wakes once for
+/// both. Partial writes and [`std::io::ErrorKind::Interrupted`] are
+/// retried until every byte is out; returns the bytes written.
+///
+/// # Errors
+///
+/// Returns [`WireError::FrameTooLarge`] when any frame's payload in either
+/// part exceeds [`MAX_FRAME_BYTES`] (nothing is written), or
+/// [`WireError::Io`] when the transport fails or accepts no byte.
+pub fn write_encoded_pair(
+    w: &mut impl Write,
+    head: &[u8],
+    tail: &[u8],
+) -> Result<usize, WireError> {
+    check_lengths(head)?;
+    check_lengths(tail)?;
+    let total = head.len() + tail.len();
+    let mut parts = [IoSlice::new(head), IoSlice::new(tail)];
+    let mut slices: &mut [IoSlice<'_>] = &mut parts;
+    // `write_all_vectored` is unstable, so this is its loop.
+    IoSlice::advance_slices(&mut slices, 0);
+    let mut left = total;
+    while left > 0 {
+        match w.write_vectored(slices) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => {
+                // `advance_slices` panics past the end: a writer that
+                // reports more than it was handed has taken all of it.
+                let n = n.min(left);
+                left -= n;
+                IoSlice::advance_slices(&mut slices, n);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    w.flush()?;
+    Ok(total)
+}
+
+/// Walks the length prefixes of back-to-back encoded frames, so every frame
+/// is checked before any byte reaches the wire.
+fn check_lengths(bytes: &[u8]) -> Result<(), WireError> {
     let mut rest = bytes;
     while let Some((prefix, tail)) = rest.split_first_chunk::<4>() {
         let len = u32::from_le_bytes(*prefix) as usize;
@@ -1122,9 +1174,7 @@ pub fn write_encoded(w: &mut impl Write, bytes: &[u8]) -> Result<usize, WireErro
         }
         rest = tail.get(len.saturating_add(4)..).unwrap_or_default();
     }
-    w.write_all(bytes)?;
-    w.flush()?;
-    Ok(bytes.len())
+    Ok(())
 }
 
 /// Reads one frame from the transport, returning it with the bytes
@@ -1801,6 +1851,121 @@ mod tests {
             Err(WireError::FrameTooLarge { .. })
         ));
         assert!(sink.is_empty(), "nothing may reach the wire");
+    }
+
+    /// A transport that takes at most `limit` bytes per call across the
+    /// slices it is handed, reports `lie` bytes more than it took, fails
+    /// its first call with `Interrupted` when asked to, and counts calls.
+    struct Trickle {
+        limit: usize,
+        lie: usize,
+        interrupt: bool,
+        calls: usize,
+        out: Vec<u8>,
+    }
+
+    impl Trickle {
+        fn new(limit: usize) -> Self {
+            Self {
+                limit,
+                lie: 0,
+                interrupt: false,
+                calls: 0,
+                out: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if std::mem::take(&mut self.interrupt) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut took = 0;
+            for buf in bufs {
+                let take = buf.len().min(self.limit - took);
+                self.out.extend_from_slice(&buf[..take]);
+                took += take;
+            }
+            Ok(took + self.lie)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The pending frames and the next frame leave whole and in order
+    /// however the transport splits the write, and in one call when it
+    /// takes everything.
+    #[test]
+    fn write_encoded_pair_survives_partial_interrupted_and_lying_writes() {
+        let mut pending = Vec::new();
+        for round in 0..2 {
+            Frame::RoundClosed {
+                job: 7,
+                round,
+                quorum: 40,
+                aggregate_norm: 0.5,
+            }
+            .encode_into(&mut pending);
+        }
+        let next = Frame::encode_broadcast(7, 2, &[1.5; 9], std::iter::empty());
+        for head in [&pending[..], &[]] {
+            let whole = [head, &next[..]].concat();
+            for limit in 1..=whole.len() + 1 {
+                let mut sink = Trickle::new(limit);
+                assert_eq!(
+                    write_encoded_pair(&mut sink, head, &next).unwrap(),
+                    whole.len()
+                );
+                assert_eq!(sink.out, whole, "{limit} bytes a call");
+                assert_eq!(sink.calls, whole.len().div_ceil(limit));
+            }
+            let mut sink = Trickle::new(usize::MAX);
+            sink.interrupt = true;
+            assert_eq!(
+                write_encoded_pair(&mut sink, head, &next).unwrap(),
+                whole.len()
+            );
+            assert_eq!((sink.out, sink.calls), (whole.clone(), 2));
+            let mut sink = Trickle::new(usize::MAX);
+            sink.lie = whole.len() + 1;
+            assert_eq!(
+                write_encoded_pair(&mut sink, head, &next).unwrap(),
+                whole.len()
+            );
+            assert_eq!((sink.out, sink.calls), (whole, 1));
+        }
+        let mut stuck = Trickle::new(0);
+        assert!(matches!(
+            write_encoded_pair(&mut stuck, &pending, &next),
+            Err(WireError::Io(e)) if e.kind() == ErrorKind::WriteZero
+        ));
+    }
+
+    /// An oversized frame in either part stops the write before any byte,
+    /// as `write_encoded` does.
+    #[test]
+    fn write_encoded_pair_checks_every_frame_in_both_parts() {
+        let fine = Frame::Ping { job: 1, nonce: 2 }.encode();
+        // A length prefix is all the check reads: declare an oversized
+        // payload without allocating one.
+        let mut oversized = fine.clone();
+        oversized.extend_from_slice(&u32::try_from(MAX_FRAME_BYTES + 1).unwrap().to_le_bytes());
+        for (head, tail) in [(&oversized, &fine), (&fine, &oversized)] {
+            let mut sink = Trickle::new(usize::MAX);
+            assert!(matches!(
+                write_encoded_pair(&mut sink, head, tail),
+                Err(WireError::FrameTooLarge { .. })
+            ));
+            assert_eq!(sink.calls, 0, "nothing may reach the wire");
+        }
     }
 
     #[test]
